@@ -18,8 +18,11 @@
 //!    load-shed), and the tenant's generation advances once per mutation.
 //!
 //! Results are persisted to `results/BENCH_qps.json` (override with
-//! `--out PATH`). `--smoke` shrinks the corpus, client count, and measure
-//! window to CI size. `--trace out.jsonl` records the tenant's setup trace.
+//! `--out PATH`), schema `udi-exp-serve/v2`: v1 plus the host's core count
+//! (`host_cores`) and the build profile (`profile`), without which two
+//! artifacts cannot be compared. `--smoke` shrinks the corpus, client
+//! count, and measure window to CI size. `--trace out.jsonl` records the
+//! tenant's setup trace.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -107,9 +110,11 @@ fn main() {
     state.register_tenant("bench", system);
     let server = Server::start(state.clone(), ServerConfig::default()).expect("start server");
     let addr = server.addr();
-    let workers = std::thread::available_parallelism()
+    let host_cores = std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(2);
+    // `ServerConfig::default()` runs one worker per core.
+    let workers = host_cores;
     println!("serving on {addr} with {workers} workers");
 
     let queries: Vec<String> = generate_workload(&gen, 10, seed().wrapping_add(1))
@@ -316,8 +321,13 @@ fn main() {
         "server handled {served} < client-observed {requests}"
     );
 
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let json = format!(
-        "{{\n  \"schema\": \"udi-exp-serve/v1\",\n  \"smoke\": {smoke},\n  \"clients\": {clients},\n  \"workers\": {workers},\n  \"sources\": {n},\n  \"duration_s\": {elapsed:.3},\n  \"requests\": {requests},\n  \"shed\": {shed},\n  \"qps\": {qps:.1},\n  \"p50_us\": {p50},\n  \"p95_us\": {p95},\n  \"p99_us\": {p99},\n  \"refreshes\": {mutations},\n  \"identity\": true\n}}\n"
+        "{{\n  \"schema\": \"udi-exp-serve/v2\",\n  \"host_cores\": {host_cores},\n  \"profile\": \"{profile}\",\n  \"smoke\": {smoke},\n  \"clients\": {clients},\n  \"workers\": {workers},\n  \"sources\": {n},\n  \"duration_s\": {elapsed:.3},\n  \"requests\": {requests},\n  \"shed\": {shed},\n  \"qps\": {qps:.1},\n  \"p50_us\": {p50},\n  \"p95_us\": {p95},\n  \"p99_us\": {p99},\n  \"refreshes\": {mutations},\n  \"identity\": true\n}}\n"
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

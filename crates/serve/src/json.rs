@@ -18,6 +18,7 @@
 //! [`exp_qps`-style fingerprints]: ../../udi_bench/index.html
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Maximum nesting depth accepted by [`parse`]. Requests are flat in
 /// practice (one object with scalar fields and a rows array), so 64 is
@@ -76,12 +77,13 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends the rendering of this value to `out`.
+    pub(crate) fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => render_int(*i, out),
             Json::Float(f) => render_float(*f, out),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
@@ -110,18 +112,28 @@ impl Json {
     }
 }
 
+// Writing into a `String` cannot fail, so the `fmt::Result`s below carry
+// nothing and are dropped with `.ok()`.
+
+/// Appends an integer in decimal.
+pub(crate) fn render_int(i: i64, out: &mut String) {
+    write!(out, "{i}").ok();
+}
+
 /// Renders a float the same way the rest of the workspace prints
 /// probabilities: shortest decimal that round-trips. Non-finite values
 /// become `null` because JSON cannot carry them.
-fn render_float(f: f64, out: &mut String) {
+pub(crate) fn render_float(f: f64, out: &mut String) {
     if f.is_finite() {
-        out.push_str(&format!("{f:?}"));
+        write!(out, "{f:?}").ok();
     } else {
         out.push_str("null");
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters.
+pub(crate) fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -133,7 +145,7 @@ fn render_string(s: &str, out: &mut String) {
             '\u{0008}' => out.push_str("\\b"),
             '\u{000C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).ok();
             }
             c => out.push(c),
         }

@@ -10,18 +10,22 @@
 //! service without taking any dependencies:
 //!
 //! - **Protocol** ([`proto`], [`json`]): line-delimited JSON over TCP.
-//!   One request line in, one response line out; answers render through
-//!   the same deterministic renderer the identity tests run over library
-//!   results, so a server answer is byte-identical to the library's.
+//!   One request line in, one response line out; answers stream through
+//!   the same deterministic scalar renderers as the `Json`-tree oracle the
+//!   identity tests run over library results, so a server answer is
+//!   byte-identical to the library's.
 //! - **State** ([`state`]): immutable per-tenant snapshot records,
 //!   replaced wholesale on mutation so reads stay lock-free.
 //!   Readers load an `Arc` and never block; mutations clone the snapshot,
 //!   re-run setup off to the side, and publish atomically
-//!   (clone-mutate-publish). [`execute_answer`] is the certified
-//!   deterministic entry point.
+//!   (clone-mutate-publish). [`answer_into`] (the served path) and
+//!   [`execute_answer`] (its `Json`-tree oracle) are the certified
+//!   deterministic entry points.
 //! - **Server** ([`server`]): thread-per-core blocking workers behind a
 //!   bounded admission queue; when the queue fills, readers shed load at
 //!   the edge with an `overloaded` response instead of buffering latency.
+//!   Sockets run with `TCP_NODELAY`, each reply leaves in one write, and
+//!   replies keep request order per connection.
 //!
 //! Observability: every request opens a `serve.request` span whose id
 //! parents the library's `query.answer` / `query.source` spans, so a
@@ -57,8 +61,10 @@ pub mod state;
 
 pub use json::{Json, ParseJsonError};
 pub use proto::{
-    error_response, ok_response, parse_request, render_answers, shed_response, AnswerPath, Op,
-    Request, RequestError,
+    answer_reply_into, error_response, ok_response, parse_request, render_answers, shed_response,
+    AnswerPath, Op, Request, RequestError,
 };
 pub use server::{handle_line, Server, ServerConfig};
-pub use state::{execute_answer, handle, stats_response, ServeState, Tenant};
+pub use state::{
+    answer_into, execute_answer, handle, handle_into, stats_response, ServeState, Tenant,
+};

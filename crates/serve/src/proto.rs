@@ -7,18 +7,20 @@
 //! An optional client-chosen `id` is echoed on the response so clients can
 //! pipeline requests over one connection.
 //!
-//! Responses for `answer` embed the [`AnswerSet`] through [`render_answers`],
-//! which preserves the library's per-source catalog order and renders
-//! probabilities with shortest-round-trip formatting — the same renderer the
-//! byte-identity tests run over the library result, so "server answer ==
-//! library answer" is a string equality.
+//! Responses for `answer` embed the [`AnswerSet`] in the library's
+//! per-source catalog order, with probabilities in shortest-round-trip
+//! formatting. [`render_answers`] builds that array as a [`Json`] tree —
+//! the oracle the byte-identity tests run over the library result — and
+//! [`answer_reply_into`] streams the whole reply straight into a buffer
+//! through the same scalar renderers, so "server answer == library answer"
+//! stays a string equality without the tree on the serving path.
 
 use std::collections::BTreeMap;
 
 use udi_query::AnswerSet;
 use udi_store::{Table, Value};
 
-use crate::json::{parse, Json, ParseJsonError};
+use crate::json::{parse, render_float, render_int, render_string, Json, ParseJsonError};
 
 /// Which of the five answer paths an `answer` request runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,6 +368,70 @@ pub fn render_answers(set: &AnswerSet) -> Json {
     Json::Arr(sources)
 }
 
+/// Appends the ok reply to an `answer` request to `out`:
+/// `{"answers":[…],"generation":G,"id":I,"ok":true,"path":"P"}` (no `id`
+/// key when `id` is `None`). The bytes equal
+/// `ok_response(id, generation, {answers: render_answers(set), path})`
+/// rendered, keys in the same sorted order, but no `Json` tree, per-tuple
+/// map or per-cell `String` clone is built on the way.
+pub fn answer_reply_into(
+    id: Option<i64>,
+    generation: u64,
+    path: AnswerPath,
+    set: &AnswerSet,
+    out: &mut String,
+) {
+    out.push_str(r#"{"answers":["#);
+    for (i, (sid, tuples)) in set.by_source().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"source":"#);
+        render_int(i64::from(sid.0), out);
+        out.push_str(r#","tuples":["#);
+        for (j, t) in tuples.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"p":"#);
+            render_float(t.probability, out);
+            out.push_str(r#","values":["#);
+            for (k, value) in t.values.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                render_value(value, out);
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+    out.push_str(r#"],"generation":"#);
+    render_int(wire_generation(generation), out);
+    if let Some(id) = id {
+        out.push_str(r#","id":"#);
+        render_int(id, out);
+    }
+    out.push_str(r#","ok":true,"path":"#);
+    render_string(path.name(), out);
+    out.push('}');
+}
+
+/// Appends a store value as [`value_to_json`] would render it.
+fn render_value(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Int(i) => render_int(*i, out),
+        Value::Float(f) => render_float(*f, out),
+        Value::Text(s) => render_string(s, out),
+    }
+}
+
+/// A publish generation as the wire's `i64`, saturating.
+fn wire_generation(generation: u64) -> i64 {
+    i64::try_from(generation).unwrap_or(i64::MAX)
+}
+
 /// Assembles a success response. `extra` fields merge in after the
 /// standard `id` / `ok` / `generation` keys.
 pub fn ok_response(id: Option<i64>, generation: u64, extra: BTreeMap<String, Json>) -> Json {
@@ -376,7 +442,7 @@ pub fn ok_response(id: Option<i64>, generation: u64, extra: BTreeMap<String, Jso
     obj.insert("ok".to_owned(), Json::Bool(true));
     obj.insert(
         "generation".to_owned(),
-        Json::Int(i64::try_from(generation).unwrap_or(i64::MAX)),
+        Json::Int(wire_generation(generation)),
     );
     Json::Obj(obj)
 }

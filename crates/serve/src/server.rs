@@ -4,10 +4,26 @@
 //! One detached reader thread per connection parses lines off the socket
 //! and offers them to a bounded `JobQueue`. A fixed pool of worker
 //! threads (default: one per core) drains the queue, dispatches through
-//! [`crate::state::handle`], and writes the response line back through the
-//! connection's shared writer. When the queue is full the *reader* writes
-//! the load-shed response directly — admission control rejects at the edge
-//! instead of letting latency collapse under unbounded buffering.
+//! [`crate::state::handle_into`], and writes the reply back on the
+//! connection. When the queue is full the *reader* writes the load-shed
+//! response directly — admission control rejects at the edge instead of
+//! letting latency collapse under unbounded buffering.
+//!
+//! The wire contract:
+//!
+//! - **`TCP_NODELAY`** is set on every accepted stream. A reply is one
+//!   write, so there is nothing for Nagle's algorithm to coalesce; left on,
+//!   it holds a reply's short last segment until the client's delayed ACK
+//!   (~40 ms on Linux).
+//! - **One write per reply.** Each reply is rendered whole into a buffer
+//!   ending in `\n` (workers reuse one buffer across requests; answers
+//!   stream straight into it) and leaves through a single `write_all`.
+//! - **Replies in request order per connection.** A connection has at most
+//!   one job in flight: its write half travels with the job and comes back
+//!   to the reader once the reply is written, and only then does the reader
+//!   offer its next line (which it may already have read). Pipelined
+//!   replies therefore never overtake each other, and one pipelining
+//!   client holds at most one queue slot.
 //!
 //! Mutations (`add_source`, `apply_feedback`) never run on the worker
 //! pool: each gets a detached thread so a multi-second snapshot rebuild
@@ -22,11 +38,12 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{Builder, JoinHandle};
 
-use crate::proto::{error_response, parse_request, shed_response};
-use crate::state::{handle, ServeState};
+use crate::proto::{error_response, parse_request, shed_response, Op, Request, RequestError};
+use crate::state::{handle_into, ServeState};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -50,10 +67,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted request: the raw line plus the connection's shared writer.
+/// One admitted request: the raw line plus its connection's write half,
+/// lent to whichever thread answers it and handed back through `done` once
+/// the reply is written. Dropping a job unanswered hangs the connection up.
 struct Job {
     line: String,
-    out: Arc<Mutex<TcpStream>>,
+    out: TcpStream,
+    done: Sender<TcpStream>,
 }
 
 /// Outcome of offering a job to the queue.
@@ -231,6 +251,7 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { continue };
         state.recorder().count("serve.connections", 1);
+        tune(&stream, state);
         let state = state.clone();
         let queue = queue.clone();
         // Reader threads are detached: they exit when the client hangs up
@@ -242,35 +263,67 @@ fn accept_loop(
     }
 }
 
+/// Puts an accepted stream under the wire contract: `TCP_NODELAY` on.
+fn tune(stream: &TcpStream, state: &ServeState) {
+    if stream.set_nodelay(true).is_err() {
+        state.recorder().count("serve.nodelay_error", 1);
+    }
+}
+
+/// Where a connection's write half is between lines.
+enum WriteHalf {
+    /// With the reader: no job in flight.
+    Idle(TcpStream),
+    /// Lent to the job in flight; it comes back here once the reply is
+    /// written, and never if the job is dropped unanswered.
+    Lent(Receiver<TcpStream>),
+}
+
 fn connection_loop(stream: TcpStream, state: &ServeState, queue: &Arc<JobQueue>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let out = Arc::new(Mutex::new(write_half));
+    let mut half = WriteHalf::Idle(write_half);
     let reader = BufReader::new(stream);
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        match queue.try_push(Job {
-            line,
-            out: out.clone(),
-        }) {
-            Push::Queued => {}
+        // One job in flight: the write half goes with the job, and the
+        // next line, though read meanwhile, is offered only once it comes
+        // back, so replies keep request order. A client that waits for
+        // each reply sends its next line after the write, which the worker
+        // follows at once with the hand-back, so the reader nearly always
+        // sleeps once per request (on the socket), not twice.
+        let out = match half {
+            WriteHalf::Idle(out) => out,
+            WriteHalf::Lent(returned) => match returned.recv() {
+                Ok(out) => out,
+                Err(_) => break,
+            },
+        };
+        let (done, returned) = mpsc::channel();
+        half = match queue.try_push(Job { line, out, done }) {
+            Push::Queued => WriteHalf::Lent(returned),
             Push::Full(job) => {
                 // Admission control: reject at the edge, synchronously.
+                let mut out = job.out;
                 state.recorder().count("serve.shed", 1);
-                if write_line(&job.out, &shed_response().render()).is_err() {
+                let mut reply = shed_response().render();
+                reply.push('\n');
+                if write_reply(&mut out, &reply).is_err() {
                     break;
                 }
+                WriteHalf::Idle(out)
             }
             Push::Closed => break,
-        }
+        };
     }
 }
 
 fn worker_loop(state: &ServeState, queue: &Arc<JobQueue>) {
+    let mut reply = String::new();
     while let Some(job) = queue.next_job() {
         match parse_request(&job.line) {
             // Mutations rebuild a whole snapshot — minutes of CPU at large
@@ -278,66 +331,87 @@ fn worker_loop(state: &ServeState, queue: &Arc<JobQueue>) {
             // refresh ahead of reads in the queue (head-of-line blocking),
             // so they get their own detached thread; the tenant's mutate
             // lock already serializes concurrent rebuilds.
-            Ok(req)
-                if matches!(
-                    req.op,
-                    crate::proto::Op::AddSource | crate::proto::Op::ApplyFeedback
-                ) =>
-            {
+            Ok(req) if matches!(req.op, Op::AddSource | Op::ApplyFeedback) => {
                 let owned = state.clone();
                 let spawned = Builder::new()
                     .name("serve-mutate".to_owned())
                     .spawn(move || {
-                        let response = handle(&owned, &req).render();
-                        if write_line(&job.out, &response).is_err() {
-                            owned.recorder().count("serve.write_error", 1);
-                        }
+                        let mut reply = String::new();
+                        answer_job(&owned, Ok(req), job, &mut reply);
                     });
                 if spawned.is_err() {
                     state.recorder().count("serve.write_error", 1);
                 }
             }
-            Ok(req) => {
-                let response = handle(state, &req).render();
-                if write_line(&job.out, &response).is_err() {
-                    state.recorder().count("serve.write_error", 1);
-                }
-            }
-            Err(e) => {
-                state.recorder().count("serve.bad_request", 1);
-                let response = error_response(None, &e.to_string()).render();
-                if write_line(&job.out, &response).is_err() {
-                    state.recorder().count("serve.write_error", 1);
-                }
-            }
+            parsed => answer_job(state, parsed, job, &mut reply),
+        }
+    }
+}
+
+/// Answers one job: renders the reply into `reply`, writes it, and hands
+/// the connection back to its reader.
+fn answer_job(
+    state: &ServeState,
+    parsed: Result<Request, RequestError>,
+    job: Job,
+    reply: &mut String,
+) {
+    let Job { mut out, done, .. } = job;
+    if reply_to(state, parsed, reply, &mut out).is_err() {
+        state.recorder().count("serve.write_error", 1);
+    }
+    // The reader is parked waiting for this; if it is gone, so is the
+    // connection.
+    done.send(out).ok();
+}
+
+/// Renders the reply to one parsed line into `reply` (cleared first, so a
+/// worker reuses one buffer) and writes it to `out` in one write.
+fn reply_to<W: Write>(
+    state: &ServeState,
+    parsed: Result<Request, RequestError>,
+    reply: &mut String,
+    out: &mut W,
+) -> io::Result<()> {
+    reply.clear();
+    respond(state, parsed, reply);
+    reply.push('\n');
+    write_reply(out, reply)
+}
+
+/// Appends the response to one parsed line to `out`. Malformed lines
+/// become error responses rather than dropped connections, so one bad
+/// client request cannot poison a pipelined stream.
+fn respond(state: &ServeState, parsed: Result<Request, RequestError>, out: &mut String) {
+    match parsed {
+        Ok(req) => handle_into(state, &req, out),
+        Err(e) => {
+            state.recorder().count("serve.bad_request", 1);
+            error_response(None, &e.to_string()).render_into(out);
         }
     }
 }
 
 /// Parses and dispatches one request line, returning the response line
-/// (without the trailing newline). Malformed lines become error responses
-/// rather than dropped connections, so one bad client request cannot
-/// poison a pipelined stream.
+/// (without the trailing newline) — the bytes a server connection gets.
 pub fn handle_line(state: &ServeState, line: &str) -> String {
-    match parse_request(line) {
-        Ok(req) => handle(state, &req).render(),
-        Err(e) => {
-            state.recorder().count("serve.bad_request", 1);
-            error_response(None, &e.to_string()).render()
-        }
-    }
+    let mut out = String::new();
+    respond(state, parse_request(line), &mut out);
+    out
 }
 
-fn write_line(out: &Arc<Mutex<TcpStream>>, line: &str) -> io::Result<()> {
-    let mut stream = out.lock().unwrap_or_else(PoisonError::into_inner);
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// Writes one reply, which already ends in `\n`, with a single
+/// `write_all`: the reply leaves as one buffer, never as a body plus a
+/// trailing one-byte segment.
+fn write_reply<W: Write>(out: &mut W, reply: &str) -> io::Result<()> {
+    out.write_all(reply.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use std::io::BufRead;
 
     fn tiny_state() -> ServeState {
@@ -385,6 +459,118 @@ mod tests {
         assert!(replies[0].contains(r#""ok":true"#), "{}", replies[0]);
         assert!(replies[0].contains(r#""id":1"#));
         assert!(replies[1].contains(r#""id":2"#));
+    }
+
+    /// Replies to 50 pipelined lines of mixed kinds — answers, stats,
+    /// unparseable queries and malformed lines — come back in request
+    /// order even with four workers racing for the queue.
+    #[test]
+    fn pipelined_replies_keep_request_order() {
+        let state = tiny_state();
+        let config = ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(state, config).unwrap();
+        let mut lines = Vec::new();
+        let mut expected = Vec::new();
+        for id in 0..50i64 {
+            let (line, echoed) = match id % 4 {
+                0 => (
+                    format!(
+                        r#"{{"op":"answer","tenant":"t0","id":{id},"query":"SELECT name FROM people"}}"#
+                    ),
+                    Some(id),
+                ),
+                1 => (
+                    format!(r#"{{"op":"stats","tenant":"t0","id":{id}}}"#),
+                    Some(id),
+                ),
+                2 => (
+                    format!(r#"{{"op":"answer","tenant":"t0","id":{id},"query":"SELEKT"}}"#),
+                    Some(id),
+                ),
+                _ => (format!("not json {id}"), None),
+            };
+            lines.push(line);
+            expected.push(echoed);
+        }
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let replies = roundtrip(server.addr(), &refs);
+        let ids: Vec<Option<i64>> = replies
+            .iter()
+            .map(|r| {
+                crate::json::parse(r)
+                    .unwrap()
+                    .get("id")
+                    .and_then(Json::as_i64)
+            })
+            .collect();
+        assert_eq!(ids, expected);
+        for (i, reply) in replies.iter().enumerate() {
+            let ok = i % 4 < 2;
+            assert_eq!(reply.contains(r#""ok":true"#), ok, "reply {i}: {reply}");
+        }
+    }
+
+    /// A writer that records how many `write` calls it saw.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every reply kind leaves in exactly one `write` of a buffer that
+    /// ends in its only newline, with the bytes `handle_line` returns (on a
+    /// twin state with the same history, so `stats` counters agree). One
+    /// buffer is reused across all of them, as a worker does.
+    #[test]
+    fn each_reply_is_one_write_ending_in_a_newline() {
+        let state = tiny_state();
+        let twin = tiny_state();
+        let mut reply = String::new();
+        for line in [
+            r#"{"op":"answer","tenant":"t0","id":1,"query":"SELECT name FROM people"}"#,
+            r#"{"op":"answer","tenant":"t0","query":"SELECT name, phone FROM people"}"#,
+            r#"{"op":"stats","tenant":"t0","id":2}"#,
+            r#"{"op":"prepare","tenant":"t0","id":3,"query":"SELECT name FROM people"}"#,
+            r#"{"op":"answer","tenant":"ghost","id":4,"query":"SELECT name FROM people"}"#,
+            r#"{"op":"answer","tenant":"t0","id":5,"query":"SELEKT"}"#,
+            "not json",
+        ] {
+            let mut out = CountingWriter::default();
+            reply_to(&state, parse_request(line), &mut reply, &mut out).unwrap();
+            assert_eq!(out.writes, 1, "{line}");
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.ends_with('\n'), "{text}");
+            assert_eq!(text.matches('\n').count(), 1, "{text}");
+            assert_eq!(text.trim_end_matches('\n'), handle_line(&twin, line));
+        }
+    }
+
+    /// An accepted stream runs with `TCP_NODELAY`; without it each reply's
+    /// short last segment waits for the client's delayed ACK.
+    #[test]
+    fn accepted_streams_have_nodelay() {
+        let state = tiny_state();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        tune(&accepted, &state);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(state.counters().get("serve.nodelay_error"), 0);
     }
 
     #[test]

@@ -14,25 +14,33 @@
 //! **lock-free + io-free + spawn-free** by udi-audit's `hot-path-cert`
 //! pass (`audit.toml [effects]`), not just by convention.
 //!
-//! [`handle`] is the dispatcher: it opens a `serve.request` span whose id is
-//! the per-request trace id, and [`execute_answer`] parents the library's
-//! `query.answer` span (and, through it, the per-source `query.source`
-//! spans) onto that id — one request, one connected trace tree.
-//! [`execute_answer`] is also the crate's certified-deterministic entry
-//! point (`audit.toml [determinism]`): everything reachable from it sticks
-//! to order-stable containers and injected clocks. The dispatcher itself
-//! is deliberately *not* a certified entry — the tenant-map lookup takes
-//! the map lock; everything after the lookup routes through the certified
-//! helpers ([`execute_answer`], [`stats_response`], [`Tenant::snapshot`]).
+//! [`handle_into`] is the server's dispatcher: it opens a `serve.request`
+//! span whose id is the per-request trace id, and [`answer_into`] parents
+//! the library's `query.answer` span (and, through it, the per-source
+//! `query.source` spans) onto that id — one request, one connected trace
+//! tree. [`answer_into`] streams the whole ok reply straight into the
+//! caller's buffer; [`execute_answer`] runs the same answer step (one
+//! shared path match) but renders a [`Json`] tree, and is kept as the
+//! oracle the identity tests and benches compare the wire against.
+//! [`handle`] is the matching `Json`-valued dispatcher. Both answer
+//! entries are certified deterministic (`audit.toml [determinism]`):
+//! everything reachable from them sticks to order-stable containers and
+//! injected clocks. The dispatchers themselves are deliberately *not*
+//! certified entries — the tenant-map lookup takes the map lock;
+//! everything after the lookup routes through the certified helpers
+//! ([`answer_into`], [`stats_response`], [`Tenant::snapshot`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use udi_core::{Feedback, UdiSystem};
-use udi_obs::{CounterSink, Recorder};
+use udi_obs::{CounterSink, Recorder, Span};
+use udi_query::AnswerSet;
 
 use crate::json::Json;
-use crate::proto::{error_response, ok_response, render_answers, AnswerPath, Op, Request};
+use crate::proto::{
+    answer_reply_into, error_response, ok_response, render_answers, AnswerPath, Op, Request,
+};
 
 /// One tenant, as an immutable published record.
 ///
@@ -160,20 +168,34 @@ impl ServeState {
     }
 }
 
-/// Dispatches one parsed request against the state, returning the response
-/// value. Opens the `serve.request` span whose id is the request's trace id.
-pub fn handle(state: &ServeState, req: &Request) -> Json {
+/// Opens the request's `serve.request` span (whose id is the request's
+/// trace id) and looks its tenant up. An unknown tenant comes back as the
+/// error reply.
+fn begin(state: &ServeState, req: &Request) -> Result<(Span, Arc<Tenant>), Json> {
     let mut span = state.recorder.span("serve.request");
     span.field("op", req.op.name());
     span.field("tenant", req.tenant.clone());
     state.recorder.count("serve.requests", 1);
-    let trace = span.id();
+    match state.tenant(&req.tenant) {
+        Some(tenant) => Ok((span, tenant)),
+        None => {
+            state.recorder.count("serve.unknown_tenant", 1);
+            Err(error_response(
+                req.id,
+                &format!("unknown tenant `{}`", req.tenant),
+            ))
+        }
+    }
+}
 
-    let Some(tenant) = state.tenant(&req.tenant) else {
-        state.recorder.count("serve.unknown_tenant", 1);
-        return error_response(req.id, &format!("unknown tenant `{}`", req.tenant));
+/// Dispatches one parsed request against the state, returning the response
+/// value. This is the `Json`-tree form of [`handle_into`]: both render the
+/// same bytes, and the server only uses the streaming one.
+pub fn handle(state: &ServeState, req: &Request) -> Json {
+    let (span, tenant) = match begin(state, req) {
+        Ok(begun) => begun,
+        Err(reply) => return reply,
     };
-
     match req.op {
         Op::Prepare => {
             let Some(query) = req.query.as_deref() else {
@@ -198,7 +220,7 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
                 return error_response(req.id, "missing query");
             };
             let sys = tenant.snapshot();
-            match execute_answer(&sys, req.path, query, trace) {
+            match execute_answer(&sys, req.path, query, span.id()) {
                 Ok(answers) => {
                     let mut extra = BTreeMap::new();
                     extra.insert("answers".to_owned(), answers);
@@ -242,6 +264,31 @@ pub fn handle(state: &ServeState, req: &Request) -> Json {
     }
 }
 
+/// Dispatches one parsed request and appends its response to `out` — the
+/// server's dispatcher. An `answer` reply streams straight into `out`
+/// through [`answer_into`]; every other reply (errors included) renders
+/// the [`handle`] value. The bytes equal `handle(state, req).render()`.
+pub fn handle_into(state: &ServeState, req: &Request, out: &mut String) {
+    if req.op != Op::Answer {
+        handle(state, req).render_into(out);
+        return;
+    }
+    let reply = match begin(state, req) {
+        Ok((span, tenant)) => match req.query.as_deref() {
+            Some(query) => {
+                let sys = tenant.snapshot();
+                match answer_into(&sys, req.path, query, span.id(), req.id, out) {
+                    Ok(()) => return,
+                    Err(e) => error_response(req.id, &e.to_string()),
+                }
+            }
+            None => error_response(req.id, "missing query"),
+        },
+        Err(reply) => reply,
+    };
+    reply.render_into(out);
+}
+
 /// Builds the `stats` response for one tenant: the serving-layer counter
 /// snapshot plus tenant facts (source count, plan-cache size). Hoisted out
 /// of the dispatcher so the whole stats read path is a certified entry —
@@ -276,18 +323,15 @@ pub fn stats_response(state: &ServeState, tenant: &Tenant, id: Option<i64>) -> J
     ok_response(id, sys.engine().generation(), extra)
 }
 
-/// Parses and executes `query` on `path` against one snapshot, rendering
-/// the wire `answers` array. The `parent` span id parents the library's
-/// `query.answer` span so per-source work joins the request's trace.
-///
-/// This is the crate's certified-deterministic entry point: given the same
-/// snapshot and query text it renders the same bytes, on any path.
-pub fn execute_answer(
+/// Parses and executes `query` on `path` against one snapshot. The
+/// `parent` span id parents the library's `query.answer` span so
+/// per-source work joins the request's trace.
+fn answer_set(
     sys: &UdiSystem,
     path: AnswerPath,
     query: &str,
     parent: u64,
-) -> Result<Json, udi_query::ParseError> {
+) -> Result<AnswerSet, udi_query::ParseError> {
     let set = match path {
         AnswerPath::Consolidated => {
             let q = udi_query::parse_query(query)?;
@@ -310,7 +354,41 @@ pub fn execute_answer(
             sys.answer_aggregate_traced(&q, parent)
         }
     };
-    Ok(render_answers(&set))
+    Ok(set)
+}
+
+/// Parses and executes `query` on `path` against one snapshot, rendering
+/// the wire `answers` array as a [`Json`] tree. The `parent` span id
+/// parents the library's `query.answer` span so per-source work joins the
+/// request's trace.
+///
+/// This is the crate's certified-deterministic oracle: given the same
+/// snapshot and query text it renders the same bytes, on any path. The
+/// server streams the same bytes through [`answer_into`] instead.
+pub fn execute_answer(
+    sys: &UdiSystem,
+    path: AnswerPath,
+    query: &str,
+    parent: u64,
+) -> Result<Json, udi_query::ParseError> {
+    Ok(render_answers(&answer_set(sys, path, query, parent)?))
+}
+
+/// Parses and executes `query` on `path` against one snapshot and appends
+/// the whole ok reply to `out` through [`answer_reply_into`]. On a parse
+/// error nothing is appended. The serving read path: certified
+/// deterministic, lock-free, io-free and spawn-free (`audit.toml`).
+pub fn answer_into(
+    sys: &UdiSystem,
+    path: AnswerPath,
+    query: &str,
+    parent: u64,
+    id: Option<i64>,
+    out: &mut String,
+) -> Result<(), udi_query::ParseError> {
+    let set = answer_set(sys, path, query, parent)?;
+    answer_reply_into(id, sys.engine().generation(), path, &set, out);
+    Ok(())
 }
 
 #[cfg(test)]
