@@ -32,7 +32,7 @@
 //!    everywhere) and monotone: adding a call edge can only grow
 //!    summaries, never shrink them.
 //!
-//! The `hot-path-cert` pass ([`crate::passes`]) layers the `audit.toml`
+//! The `hot-path-cert` pass (`crate::passes`) layers the `audit.toml`
 //! `[effects]` budgets on top and reports certificate failures with full
 //! call chains, in the same shape as the determinism certificate.
 

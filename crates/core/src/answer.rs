@@ -1,25 +1,136 @@
 //! Query answering: by-table semantics over the consolidated schema and —
-//! for Theorem 6.2 — directly over the p-med-schema (Definition 3.3).
+//! for Theorem 6.2 — directly over the p-med-schema (Definition 3.3), plus
+//! the top-mapping baseline and the by-tuple and aggregate extensions.
 //!
-//! Every path now answers through the prepared-query layer
-//! ([`crate::prepared`]): the per-source signature pooling is compiled
-//! once into a [`PreparedQuery`], cached keyed by `(path, query text)`,
-//! and invalidated by the engine generation; execution fans sources across
-//! `config.threads` workers and merges in catalog order, so answers are
-//! byte-identical to the historical sequential path.
+//! Every path follows one recipe, written once in the private skeleton
+//! behind [`UdiSystem::answer_with`]: pool each source's p-mapping into
+//! bindings (compiled once into a [`PreparedQuery`] and cached by pooling
+//! and query text, see [`crate::prepared`]), execute each source under its
+//! bindings, and union the results in catalog order. The paths differ only
+//! in how [`AnswerPath`] pools and how one source is executed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use udi_query::{execute_with_binding, AnswerSet, Binding, Query, SourceAccumulator};
-use udi_schema::{AttrId, Mapping, MediatedSchema};
-
-use crate::prepared::{
-    fan_out, fan_out_parallel, PlanPath, PreparedQuery, QueryPlan, SourceBindings,
+use udi_query::{
+    execute_aggregate_with_binding, execute_with_binding, AggregateQuery, AnswerSet, AnswerTuple,
+    Binding, ParseError, Query, SourceAccumulator,
 };
+use udi_schema::{AttrId, Mapping, MediatedSchema};
+use udi_store::{Row, Table};
+
+use crate::prepared::{fan_out, Pooling, PreparedQuery, QueryPlan, SourceBindings};
 use crate::system::UdiSystem;
 
+/// The five answer paths. They differ only in how a source's p-mapping is
+/// pooled (consolidated, per schema, or top mapping) and how one source is
+/// executed (by-table, by-tuple, or aggregate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerPath {
+    /// Consolidated mediated schema ([`UdiSystem::answer`]).
+    Consolidated,
+    /// Full probabilistic mediated schema ([`UdiSystem::answer_with_pmed`]).
+    Pmed,
+    /// Top-1 mapping only ([`UdiSystem::answer_top_mapping`]).
+    TopMapping,
+    /// By-tuple semantics ([`UdiSystem::answer_by_tuple`]).
+    ByTuple,
+    /// Aggregate queries ([`UdiSystem::answer_aggregate`]).
+    Aggregate,
+}
+
+impl AnswerPath {
+    /// All five paths, in wire-name order used by benches and tests.
+    pub const ALL: [AnswerPath; 5] = [
+        AnswerPath::Consolidated,
+        AnswerPath::Pmed,
+        AnswerPath::TopMapping,
+        AnswerPath::ByTuple,
+        AnswerPath::Aggregate,
+    ];
+
+    /// Parses the wire name of a path.
+    pub fn from_name(name: &str) -> Option<AnswerPath> {
+        AnswerPath::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// The wire name of this path; also the `path` field of its
+    /// `query.answer` span.
+    pub fn name(self) -> &'static str {
+        match self {
+            AnswerPath::Consolidated => "consolidated",
+            AnswerPath::Pmed => "pmed",
+            AnswerPath::TopMapping => "top_mapping",
+            AnswerPath::ByTuple => "by_tuple",
+            AnswerPath::Aggregate => "aggregate",
+        }
+    }
+
+    /// How this path pools p-mappings — the plan-cache key. By-tuple and
+    /// aggregate pool exactly like the consolidated path (only execution
+    /// differs), so they share its plans.
+    fn pooling(self) -> Pooling {
+        match self {
+            AnswerPath::Pmed => Pooling::Pmed,
+            AnswerPath::TopMapping => Pooling::TopMapping,
+            AnswerPath::Consolidated | AnswerPath::ByTuple | AnswerPath::Aggregate => {
+                Pooling::Consolidated
+            }
+        }
+    }
+}
+
+/// A parsed query in the grammar its path reads.
+#[derive(Clone, Copy)]
+enum Parsed<'q> {
+    Select(&'q Query),
+    Aggregate(&'q AggregateQuery),
+}
+
+impl<'q> Parsed<'q> {
+    /// The rendered text, which keys the plan cache. An aggregate renders
+    /// with its COUNT/GROUP BY, so it cannot collide with a select over
+    /// the same attributes.
+    fn text(self) -> String {
+        match self {
+            Parsed::Select(q) => q.to_string(),
+            Parsed::Aggregate(q) => q.to_string(),
+        }
+    }
+
+    /// The attributes the plan must resolve to mediated clusters.
+    fn referenced_attributes(self) -> Vec<&'q str> {
+        match self {
+            Parsed::Select(q) => q.referenced_attributes(),
+            Parsed::Aggregate(q) => q.referenced_attributes(),
+        }
+    }
+}
+
 impl UdiSystem {
+    /// Parse `text` in the grammar `path` reads (the aggregate grammar for
+    /// [`AnswerPath::Aggregate`], the select grammar otherwise) and answer
+    /// it on that path, with the `query.answer` span parented on `parent`
+    /// (`0` opens a root span). Every `answer*` method is this call with
+    /// the path fixed and the query already parsed.
+    pub fn answer_with(
+        &self,
+        path: AnswerPath,
+        text: &str,
+        parent: u64,
+    ) -> Result<AnswerSet, ParseError> {
+        Ok(match path {
+            AnswerPath::Aggregate => {
+                let q = udi_query::parse_aggregate_query(text)?;
+                self.answer_on(path, Parsed::Aggregate(&q), parent)
+            }
+            _ => {
+                let q = udi_query::parse_query(text)?;
+                self.answer_on(path, Parsed::Select(&q), parent)
+            }
+        })
+    }
+
     /// Answer `query` against the **consolidated** mediated schema with the
     /// consolidated p-mappings (the production path). Query attributes may
     /// be any source attribute covered by the mediated schema; a query
@@ -38,64 +149,7 @@ impl UdiSystem {
     /// per-source `query.source` spans) hanging off it. `parent == 0`
     /// opens a root span, identical to [`answer`](UdiSystem::answer).
     pub fn answer_traced(&self, query: &Query, parent: u64) -> AnswerSet {
-        let mut span = self
-            .engine()
-            .recorder()
-            .span_with_parent("query.answer", parent);
-        span.field("path", "consolidated");
-        let attrs = query.referenced_attributes();
-        let prepared = self.plan_for(PlanPath::Consolidated, &query.to_string(), || {
-            self.compile_consolidated(&attrs)
-        });
-        let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
-        };
-        let (set, scanned, produced) = execute_select(self, plan, query, span.id());
-        span.count("query.tuples.scanned", scanned);
-        span.count("query.answers.produced", produced);
-        set
-    }
-
-    /// [`answer`](UdiSystem::answer) with per-source execution fanned out
-    /// across [`set_threads`](UdiSystem::set_threads) scoped workers.
-    /// Answers are byte-identical to [`answer`](UdiSystem::answer) at any
-    /// thread count; the only difference is wall-clock. Kept as a separate
-    /// entry point so the plain `answer*` family stays spawn-free — the
-    /// `hot-path-cert` audit pass certifies those paths, and a serving
-    /// loop that wants parallelism opts in here explicitly.
-    pub fn answer_parallel(&self, query: &Query) -> AnswerSet {
-        self.answer_parallel_traced(query, 0)
-    }
-
-    /// [`answer_parallel`](UdiSystem::answer_parallel) with an explicit
-    /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
-    pub fn answer_parallel_traced(&self, query: &Query, parent: u64) -> AnswerSet {
-        let mut span = self
-            .engine()
-            .recorder()
-            .span_with_parent("query.answer", parent);
-        span.field("path", "consolidated-parallel");
-        let attrs = query.referenced_attributes();
-        let prepared = self.plan_for(PlanPath::Consolidated, &query.to_string(), || {
-            self.compile_consolidated(&attrs)
-        });
-        let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
-        };
-        let (set, scanned, produced) =
-            fan_out_parallel(self, plan, span.id(), |table, bindings| {
-                let mut acc = SourceAccumulator::new();
-                let mut scanned = 0u64;
-                for (binding, p) in bindings {
-                    scanned += table.row_count() as u64;
-                    let rows = execute_with_binding(table, query, binding);
-                    acc.add_mapping(&rows, *p);
-                }
-                (acc.finish(), scanned)
-            });
-        span.count("query.tuples.scanned", scanned);
-        span.count("query.answers.produced", produced);
-        set
+        self.answer_on(AnswerPath::Consolidated, Parsed::Select(query), parent)
     }
 
     /// Compile `query` for the production (consolidated) path and return
@@ -107,10 +161,7 @@ impl UdiSystem {
     /// after any mutation (`add_source`, `remove_source`, `apply_feedback`)
     /// the next answer recompiles automatically.
     pub fn prepare(&self, query: &Query) -> Arc<PreparedQuery> {
-        let attrs = query.referenced_attributes();
-        self.plan_for(PlanPath::Consolidated, &query.to_string(), || {
-            self.compile_consolidated(&attrs)
-        })
+        self.plan_for(Pooling::Consolidated, Parsed::Select(query))
     }
 
     /// Answer `query` directly against the p-med-schema (Definition 3.3):
@@ -124,22 +175,7 @@ impl UdiSystem {
     /// [`answer_with_pmed`](UdiSystem::answer_with_pmed) with an explicit
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_with_pmed_traced(&self, query: &Query, parent: u64) -> AnswerSet {
-        let mut span = self
-            .engine()
-            .recorder()
-            .span_with_parent("query.answer", parent);
-        span.field("path", "pmed");
-        let attrs = query.referenced_attributes();
-        let prepared = self.plan_for(PlanPath::Pmed, &query.to_string(), || {
-            self.compile_pmed(&attrs)
-        });
-        let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
-        };
-        let (set, scanned, produced) = execute_select(self, plan, query, span.id());
-        span.count("query.tuples.scanned", scanned);
-        span.count("query.answers.produced", produced);
-        set
+        self.answer_on(AnswerPath::Pmed, Parsed::Select(query), parent)
     }
 
     /// Answer `query` using **only** the single highest-probability mapping
@@ -155,22 +191,7 @@ impl UdiSystem {
     /// [`answer_top_mapping`](UdiSystem::answer_top_mapping) with an
     /// explicit span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_top_mapping_traced(&self, query: &Query, parent: u64) -> AnswerSet {
-        let mut span = self
-            .engine()
-            .recorder()
-            .span_with_parent("query.answer", parent);
-        span.field("path", "top-mapping");
-        let attrs = query.referenced_attributes();
-        let prepared = self.plan_for(PlanPath::TopMapping, &query.to_string(), || {
-            self.compile_top_mapping(&attrs)
-        });
-        let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
-        };
-        let (set, scanned, produced) = execute_select(self, plan, query, span.id());
-        span.count("query.tuples.scanned", scanned);
-        span.count("query.answers.produced", produced);
-        set
+        self.answer_on(AnswerPath::TopMapping, Parsed::Select(query), parent)
     }
 
     /// Answer `query` under **by-tuple** semantics (an extension; the
@@ -194,71 +215,7 @@ impl UdiSystem {
     /// [`answer_by_tuple`](UdiSystem::answer_by_tuple) with an explicit
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_by_tuple_traced(&self, query: &Query, parent: u64) -> AnswerSet {
-        let mut span = self
-            .engine()
-            .recorder()
-            .span_with_parent("query.answer", parent);
-        span.field("path", "by-tuple");
-        let attrs = query.referenced_attributes();
-        // Same pooling as the consolidated path — only execution differs —
-        // so the plan is shared with `answer` (same cache key).
-        let prepared = self.plan_for(PlanPath::Consolidated, &query.to_string(), || {
-            self.compile_consolidated(&attrs)
-        });
-        let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
-        };
-        let (set, scanned, produced) = fan_out(self, plan, span.id(), |table, bindings| {
-            // Per (row, tuple): total probability of mappings producing it.
-            // `Row` has no `Ord`, so this stays a hash map; emission order
-            // is governed by the insertion-order `order` vec, never by map
-            // iteration.
-            // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via the `order` vec")
-            let mut per_row: HashMap<(usize, udi_store::Row), f64> = HashMap::new();
-            let mut order: Vec<(usize, udi_store::Row)> = Vec::new();
-            let mut scanned = 0u64;
-            for (binding, p) in bindings {
-                scanned += table.row_count() as u64;
-                for (ri, tuple) in udi_query::execute_with_binding_indexed(table, query, binding) {
-                    let key = (ri, tuple);
-                    match per_row.get_mut(&key) {
-                        Some(q) => *q += p,
-                        None => {
-                            per_row.insert(key.clone(), *p);
-                            order.push(key);
-                        }
-                    }
-                }
-            }
-            // Combine rows producing the same tuple as independent events.
-            // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via `tuple_order`")
-            let mut combined: HashMap<udi_store::Row, f64> = HashMap::new();
-            let mut tuple_order: Vec<udi_store::Row> = Vec::new();
-            for key in &order {
-                let p_r = per_row.get(key).copied().unwrap_or(0.0).min(1.0);
-                match combined.get_mut(&key.1) {
-                    Some(acc) => *acc = 1.0 - (1.0 - *acc) * (1.0 - p_r),
-                    None => {
-                        combined.insert(key.1.clone(), p_r);
-                        tuple_order.push(key.1.clone());
-                    }
-                }
-            }
-            let tuples: Vec<udi_query::AnswerTuple> = tuple_order
-                .into_iter()
-                .map(|values| {
-                    let probability = combined.get(&values).copied().unwrap_or(0.0);
-                    udi_query::AnswerTuple {
-                        values,
-                        probability,
-                    }
-                })
-                .collect();
-            (tuples, scanned)
-        });
-        span.count("query.tuples.scanned", scanned);
-        span.count("query.answers.produced", produced);
-        set
+        self.answer_on(AnswerPath::ByTuple, Parsed::Select(query), parent)
     }
 
     /// Answer a grouped aggregate query (an extension — the paper's
@@ -269,41 +226,31 @@ impl UdiSystem {
     /// ordinary answers. There is no cross-source fusion of aggregates
     /// (that would need entity resolution; the paper's union model treats
     /// sources independently).
-    pub fn answer_aggregate(&self, query: &udi_query::AggregateQuery) -> AnswerSet {
+    pub fn answer_aggregate(&self, query: &AggregateQuery) -> AnswerSet {
         self.answer_aggregate_traced(query, 0)
     }
 
     /// [`answer_aggregate`](UdiSystem::answer_aggregate) with an explicit
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
-    pub fn answer_aggregate_traced(
-        &self,
-        query: &udi_query::AggregateQuery,
-        parent: u64,
-    ) -> AnswerSet {
+    pub fn answer_aggregate_traced(&self, query: &AggregateQuery, parent: u64) -> AnswerSet {
+        self.answer_on(AnswerPath::Aggregate, Parsed::Aggregate(query), parent)
+    }
+
+    /// The answer skeleton every path runs: open the `query.answer` span,
+    /// look up (or compile) the plan for the path's pooling, execute each
+    /// source under its bindings, and count what was scanned and produced.
+    fn answer_on(&self, path: AnswerPath, query: Parsed<'_>, parent: u64) -> AnswerSet {
         let mut span = self
             .engine()
             .recorder()
             .span_with_parent("query.answer", parent);
-        span.field("path", "aggregate");
-        let attrs = query.referenced_attributes();
-        // Aggregates pool exactly like the consolidated select path; the
-        // rendered aggregate text (with COUNT/GROUP BY) keys the plan, so
-        // it cannot collide with a select over the same attributes.
-        let prepared = self.plan_for(PlanPath::Consolidated, &query.to_string(), || {
-            self.compile_consolidated(&attrs)
-        });
+        span.field("path", path.name());
+        let prepared = self.plan_for(path.pooling(), query);
         let Some(plan) = prepared.plan() else {
             return AnswerSet::new();
         };
         let (set, scanned, produced) = fan_out(self, plan, span.id(), |table, bindings| {
-            let mut acc = SourceAccumulator::new();
-            let mut scanned = 0u64;
-            for (binding, p) in bindings {
-                scanned += table.row_count() as u64;
-                let rows = udi_query::execute_aggregate_with_binding(table, query, binding);
-                acc.add_mapping(&rows, *p);
-            }
-            (acc.finish(), scanned)
+            execute_source(path, query, table, bindings)
         });
         span.count("query.tuples.scanned", scanned);
         span.count("query.answers.produced", produced);
@@ -317,21 +264,16 @@ impl UdiSystem {
     /// administrator exactly where probability mass goes before they
     /// correct anything.
     pub fn explain(&self, query: &Query) -> Explanation {
-        let Some(clusters) = self.resolve_clusters(query, self.consolidated()) else {
+        let attrs = query.referenced_attributes();
+        let Some(clusters) = self.resolve_attr_clusters(&attrs, self.consolidated()) else {
             return Explanation {
                 query: query.to_string(),
                 sources: Vec::new(),
             };
         };
-        let attrs = query.referenced_attributes();
         let mut sources = Vec::new();
         for (sid, table) in self.catalog().iter_sources() {
-            let pm = self.consolidated_pmapping(sid.0 as usize);
-            let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
-            for (m, p) in pm.mappings() {
-                let sig = binding_signature(m, &clusters);
-                *pooled.entry(sig).or_insert(0.0) += p;
-            }
+            let pooled = self.pool_consolidated(sid.0 as usize, &clusters);
             let mut bindings = Vec::new();
             let mut unmapped = 0.0;
             // Ranked for display: most probable binding first, signature
@@ -384,16 +326,6 @@ impl UdiSystem {
 
     /// Map each referenced query attribute to its cluster index in `med`.
     /// `None` when some attribute is unknown or unclustered.
-    fn resolve_clusters(
-        &self,
-        query: &Query,
-        med: &MediatedSchema,
-    ) -> Option<Vec<(String, usize)>> {
-        self.resolve_attr_clusters(&query.referenced_attributes(), med)
-    }
-
-    /// [`resolve_clusters`](UdiSystem::resolve_clusters) over a bare
-    /// attribute list — shared by select and aggregate compilation.
     fn resolve_attr_clusters(
         &self,
         attrs: &[&str],
@@ -409,20 +341,22 @@ impl UdiSystem {
             .collect()
     }
 
-    /// Cache lookup for `(path, text)` at the engine's current generation,
-    /// compiling on miss. All answer paths funnel through here.
-    fn plan_for(
-        &self,
-        path: PlanPath,
-        text: &str,
-        compile: impl FnOnce() -> Option<QueryPlan>,
-    ) -> Arc<PreparedQuery> {
+    /// Cache lookup for `(pooling, query text)` at the engine's current
+    /// generation, compiling on miss.
+    fn plan_for(&self, pooling: Pooling, query: Parsed<'_>) -> Arc<PreparedQuery> {
         self.plans().get_or_compile(
-            path,
-            text,
+            pooling,
+            &query.text(),
             self.engine().generation(),
             self.engine().recorder(),
-            compile,
+            || {
+                let attrs = query.referenced_attributes();
+                match pooling {
+                    Pooling::Consolidated => self.compile_consolidated(&attrs),
+                    Pooling::Pmed => self.compile_pmed(&attrs),
+                    Pooling::TopMapping => self.compile_top_mapping(&attrs),
+                }
+            },
         )
     }
 
@@ -450,6 +384,20 @@ impl UdiSystem {
         out
     }
 
+    /// Pool source `source`'s consolidated p-mapping by the binding
+    /// signature each mapping induces on `clusters`.
+    fn pool_consolidated(
+        &self,
+        source: usize,
+        clusters: &[(String, usize)],
+    ) -> BTreeMap<Vec<Option<AttrId>>, f64> {
+        let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
+        for (m, p) in self.consolidated_pmapping(source).mappings() {
+            *pooled.entry(binding_signature(m, clusters)).or_insert(0.0) += p;
+        }
+        pooled
+    }
+
     /// Compile for the consolidated path: one pooled signature map per
     /// source from its consolidated p-mapping.
     fn compile_consolidated(&self, attrs: &[&str]) -> Option<QueryPlan> {
@@ -458,17 +406,11 @@ impl UdiSystem {
             .catalog()
             .iter_sources()
             .map(|(sid, _)| {
-                let pm = self.consolidated_pmapping(sid.0 as usize);
-                let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
-                for (m, p) in pm.mappings() {
-                    *pooled.entry(binding_signature(m, &clusters)).or_insert(0.0) += p;
-                }
-                self.pooled_to_bindings(attrs, pooled)
+                self.pooled_to_bindings(attrs, self.pool_consolidated(sid.0 as usize, &clusters))
             })
             .collect();
         Some(QueryPlan { per_source })
     }
-
     /// Compile for the p-med-schema path: pool across every possible
     /// schema, weighting each mapping by its schema's probability. A schema
     /// that cannot resolve the query contributes nothing; if none can, the
@@ -521,26 +463,90 @@ impl UdiSystem {
     }
 }
 
-/// Execute a select plan: per source, run the query once per pooled
-/// binding and accumulate by-table probabilities — sequentially, via
-/// [`fan_out`], so the certified answer paths stay spawn-free
-/// ([`UdiSystem::answer_parallel`] is the opt-in threaded variant).
-fn execute_select(
-    sys: &UdiSystem,
-    plan: &QueryPlan,
-    query: &Query,
-    parent: u64,
-) -> (AnswerSet, u64, u64) {
-    fan_out(sys, plan, parent, |table, bindings| {
-        let mut acc = SourceAccumulator::new();
-        let mut scanned = 0u64;
-        for (binding, p) in bindings {
-            scanned += table.row_count() as u64;
-            let rows = execute_with_binding(table, query, binding);
-            acc.add_mapping(&rows, *p);
+/// Execute one source under its pooled bindings — the only step in which
+/// the paths' execution differs: by-tuple combines rows as independent
+/// events, every other path accumulates by-table, and an aggregate differs
+/// from a select only in the call that produces the rows.
+fn execute_source(
+    path: AnswerPath,
+    query: Parsed<'_>,
+    table: &Table,
+    bindings: &[(Binding, f64)],
+) -> (Vec<AnswerTuple>, u64) {
+    match (path, query) {
+        (AnswerPath::ByTuple, Parsed::Select(q)) => by_tuple(table, q, bindings),
+        (_, Parsed::Select(q)) => by_table(table, bindings, |b| execute_with_binding(table, q, b)),
+        (_, Parsed::Aggregate(q)) => by_table(table, bindings, |b| {
+            execute_aggregate_with_binding(table, q, b)
+        }),
+    }
+}
+
+/// By-table accumulation over one source: run once per pooled binding and
+/// add each binding's rows with its probability.
+fn by_table(
+    table: &Table,
+    bindings: &[(Binding, f64)],
+    rows: impl Fn(&Binding) -> Vec<Row>,
+) -> (Vec<AnswerTuple>, u64) {
+    let mut acc = SourceAccumulator::new();
+    let mut scanned = 0u64;
+    for (binding, p) in bindings {
+        scanned += table.row_count() as u64;
+        acc.add_mapping(&rows(binding), *p);
+    }
+    (acc.finish(), scanned)
+}
+
+/// By-tuple combination over one source (see
+/// [`UdiSystem::answer_by_tuple`]).
+fn by_tuple(table: &Table, query: &Query, bindings: &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) {
+    // Per (row, tuple): total probability of mappings producing it.
+    // `Row` has no `Ord`, so this stays a hash map; emission order
+    // is governed by the insertion-order `order` vec, never by map
+    // iteration.
+    // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via the `order` vec")
+    let mut per_row: HashMap<(usize, Row), f64> = HashMap::new();
+    let mut order: Vec<(usize, Row)> = Vec::new();
+    let mut scanned = 0u64;
+    for (binding, p) in bindings {
+        scanned += table.row_count() as u64;
+        for (ri, tuple) in udi_query::execute_with_binding_indexed(table, query, binding) {
+            let key = (ri, tuple);
+            match per_row.get_mut(&key) {
+                Some(q) => *q += p,
+                None => {
+                    per_row.insert(key.clone(), *p);
+                    order.push(key);
+                }
+            }
         }
-        (acc.finish(), scanned)
-    })
+    }
+    // Combine rows producing the same tuple as independent events.
+    // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via `tuple_order`")
+    let mut combined: HashMap<Row, f64> = HashMap::new();
+    let mut tuple_order: Vec<Row> = Vec::new();
+    for key in &order {
+        let p_r = per_row.get(key).copied().unwrap_or(0.0).min(1.0);
+        match combined.get_mut(&key.1) {
+            Some(acc) => *acc = 1.0 - (1.0 - *acc) * (1.0 - p_r),
+            None => {
+                combined.insert(key.1.clone(), p_r);
+                tuple_order.push(key.1.clone());
+            }
+        }
+    }
+    let tuples = tuple_order
+        .into_iter()
+        .map(|values| {
+            let probability = combined.get(&values).copied().unwrap_or(0.0);
+            AnswerTuple {
+                values,
+                probability,
+            }
+        })
+        .collect();
+    (tuples, scanned)
 }
 
 /// How one source would answer a query (see [`UdiSystem::explain`]).
@@ -964,6 +970,29 @@ mod tests {
             .map(|t| t.probability)
             .sum();
         assert!((p_tuple - 0.76).abs() < 1e-9, "by-tuple: {p_tuple}");
+    }
+
+    #[test]
+    fn plans_are_keyed_by_pooling_not_by_path() {
+        for p in AnswerPath::ALL {
+            assert_eq!(AnswerPath::from_name(p.name()), Some(p));
+        }
+        let mut udi = example_2_1();
+        let sink = Arc::new(udi_obs::MemorySink::new());
+        udi.set_sink(Some(sink.clone()));
+        let q = parse_query("SELECT name, phone FROM P").unwrap();
+        udi.answer(&q);
+        udi.answer_by_tuple(&q);
+        assert_eq!(
+            udi.plan_cache_len(),
+            1,
+            "by-tuple shares the consolidated plan"
+        );
+        assert_eq!(sink.counter_total("query.plan.hit"), 1);
+        udi.answer_with_pmed(&q);
+        assert_eq!(udi.plan_cache_len(), 2);
+        udi.answer_top_mapping(&q);
+        assert_eq!(udi.plan_cache_len(), 3);
     }
 
     #[test]

@@ -790,15 +790,6 @@ impl SetupEngine {
         &self.config
     }
 
-    /// Change the worker-thread count for subsequent setup refreshes *and*
-    /// parallel query execution. Purely a wall-clock knob: results are
-    /// identical at any value (stage 3 and query fan-out both process
-    /// sources deterministically and merge in catalog order), so prepared
-    /// plans stay valid.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-    }
-
     /// Accumulated feedback.
     pub fn feedback(&self) -> &Feedback {
         &self.feedback

@@ -51,12 +51,12 @@ pub mod pipeline;
 pub mod prepared;
 pub mod system;
 
-pub use answer::{BindingExplanation, Explanation, SourceExplanation};
+pub use answer::{AnswerPath, BindingExplanation, Explanation, SourceExplanation};
 pub use engine::SetupEngine;
 pub use feedback::{suggest_questions, Feedback, FeedbackMeasure, Question};
 pub use persist::PersistError;
 pub use pipeline::{CacheStats, MeasureKind, SetupReport, SetupTimings, UdiConfig};
-pub use prepared::{PlanPath, PreparedQuery};
+pub use prepared::PreparedQuery;
 pub use system::UdiSystem;
 
 /// Errors surfaced by system setup or query answering.

@@ -13,8 +13,10 @@
 //!   filters incomplete signatures and zero-mass bindings up front and
 //!   resolves attribute ids to source attribute names, so execution touches
 //!   only tables and probabilities.
-//! * `PlanCache` (crate-private) — a **lock-free** map `(path, query text)
-//!   → plan` consulted transparently by every `UdiSystem::answer*` call.
+//! * `PlanCache` (crate-private) — a **lock-free** map `(pooling, query
+//!   text) → plan` consulted transparently by every `UdiSystem::answer*`
+//!   call. The key is the *pooling*, not the answer path: paths that pool
+//!   alike (consolidated, by-tuple, aggregate) share one plan.
 //!   The structure is a fixed array of append-only bucket chains built
 //!   from `OnceLock` links: lookups are plain atomic loads (wait-free, no
 //!   mutex, no poisoning), inserts publish a new tail node with a single
@@ -26,14 +28,11 @@
 //!   a generation mismatch is a miss, so the cache can never serve answers
 //!   computed from replaced artifacts. Lookups emit `query.plan.hit` /
 //!   `query.plan.miss` counters.
-//! * `fan_out` / `fan_out_parallel` (crate-private) — the executors.
-//!   `fan_out` is strictly sequential and backs every certified
-//!   `UdiSystem::answer*` path (the hot-path certificate proves those
-//!   spawn no threads); `fan_out_parallel` spreads sources across a scoped
-//!   thread pool (`config.threads`, the same convention as setup stage 3)
-//!   and merges the per-source answer vectors back **in catalog order**,
-//!   so its results are byte-identical to the sequential path at any
-//!   thread count. Opt in via [`UdiSystem::answer_parallel`](crate::UdiSystem::answer_parallel).
+//! * `fan_out` (crate-private) — the executor: it runs a per-source step
+//!   over every source, sequentially and in catalog order. It spawns no
+//!   threads and takes no locks (the hot-path certificate proves it);
+//!   concurrency comes from serving many requests at once, not from
+//!   splitting one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,15 +55,13 @@ const PLAN_CACHE_CAP: usize = 256;
 /// use.
 const PLAN_CACHE_BUCKETS: usize = 16;
 
-/// Which answer path a plan was compiled for. Part of the cache key: the
-/// same query text pools probability mass differently per path (the
-/// consolidated p-mapping, the per-schema p-mappings weighted by schema
-/// probability, or the top mapping alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PlanPath {
-    /// Consolidated mediated schema + consolidated p-mappings — the
-    /// production path, shared by `answer`, `answer_by_tuple`, and
-    /// `answer_aggregate` (identical pooling, different execution).
+/// How a plan pools each source's p-mapping into bindings. Part of the
+/// cache key: the same query text pools probability mass differently per
+/// pooling (the consolidated p-mapping, the per-schema p-mappings weighted
+/// by schema probability, or the top mapping alone).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pooling {
+    /// Consolidated mediated schema + consolidated p-mappings.
     Consolidated,
     /// Directly against the p-med-schema (Definition 3.3), per possible
     /// schema weighted by its probability.
@@ -131,7 +128,7 @@ impl PreparedQuery {
 /// get` — an atomic load.
 #[derive(Debug)]
 struct Node {
-    key: (PlanPath, String),
+    key: (Pooling, String),
     value: Arc<PreparedQuery>,
     next: OnceLock<Box<Node>>,
 }
@@ -153,7 +150,7 @@ impl Node {
 
 /// Lock-free plan cache, owned by [`UdiSystem`] next to the engine.
 ///
-/// Keys are `(path, rendered query text)`, hashed (FNV-1a) onto a fixed
+/// Keys are `(pooling, rendered query text)`, hashed (FNV-1a) onto a fixed
 /// set of append-only chains; values carry their compile-time generation
 /// and are treated as misses once the engine generation moves. Readers
 /// never block: every traversal is a sequence of `OnceLock::get` atomic
@@ -177,14 +174,14 @@ impl Default for PlanCache {
     }
 }
 
-/// FNV-1a over the path tag and query text — deterministic across runs
+/// FNV-1a over the pooling tag and query text — deterministic across runs
 /// (unlike `RandomState`), cheap, and good enough to spread a few hundred
 /// query strings over 16 chains.
-fn bucket_of(path: PlanPath, text: &str) -> usize {
-    let tag: u8 = match path {
-        PlanPath::Consolidated => 1,
-        PlanPath::Pmed => 2,
-        PlanPath::TopMapping => 3,
+fn bucket_of(pooling: Pooling, text: &str) -> usize {
+    let tag: u8 = match pooling {
+        Pooling::Consolidated => 1,
+        Pooling::Pmed => 2,
+        Pooling::TopMapping => 3,
     };
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in std::iter::once(tag).chain(text.bytes()) {
@@ -201,15 +198,15 @@ impl PlanCache {
     }
 
     /// Wait-free lookup: walk the bucket chain with atomic loads and
-    /// return the **latest** value published for `(path, text)`, if any.
-    fn lookup(&self, path: PlanPath, text: &str) -> Option<Arc<PreparedQuery>> {
+    /// return the **latest** value published for `(pooling, text)`, if any.
+    fn lookup(&self, pooling: Pooling, text: &str) -> Option<Arc<PreparedQuery>> {
         let mut found: Option<&Arc<PreparedQuery>> = None;
         let mut cur = self
             .buckets
-            .get(bucket_of(path, text))
+            .get(bucket_of(pooling, text))
             .and_then(|b| b.get());
         while let Some(node) = cur {
-            if node.key.0 == path && node.key.1 == text {
+            if node.key.0 == pooling && node.key.1 == text {
                 found = Some(&node.value);
             }
             cur = node.next.get();
@@ -220,7 +217,7 @@ impl PlanCache {
     /// Publish `value` at the tail of its key's chain. Refuses (silently)
     /// once the cap is reached — the caller keeps its compiled plan, the
     /// cache just doesn't retain it.
-    fn append(&self, key: (PlanPath, String), value: Arc<PreparedQuery>) {
+    fn append(&self, key: (Pooling, String), value: Arc<PreparedQuery>) {
         // Reserve a slot first: `fetch_add` hands out at most
         // `PLAN_CACHE_CAP` previous values below the cap, so the node
         // count is exact even under racing inserts.
@@ -250,18 +247,18 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan for `(path, text)` at `generation`, compiling (and
-    /// caching) it on miss or staleness. Emits one `query.plan.hit` or
+    /// Look up the plan for `(pooling, text)` at `generation`, compiling
+    /// (and caching) it on miss or staleness. Emits one `query.plan.hit` or
     /// `query.plan.miss` counter per call.
     pub(crate) fn get_or_compile(
         &self,
-        path: PlanPath,
+        pooling: Pooling,
         text: &str,
         generation: u64,
         recorder: &udi_obs::Recorder,
         compile: impl FnOnce() -> Option<QueryPlan>,
     ) -> Arc<PreparedQuery> {
-        if let Some(hit) = self.lookup(path, text) {
+        if let Some(hit) = self.lookup(pooling, text) {
             if hit.generation == generation {
                 recorder.count("query.plan.hit", 1);
                 return hit;
@@ -272,7 +269,7 @@ impl PlanCache {
             generation,
             plan: compile(),
         });
-        self.append((path, text.to_owned()), prepared.clone());
+        self.append((pooling, text.to_owned()), prepared.clone());
         prepared
     }
 
@@ -317,15 +314,14 @@ impl Clone for PlanCache {
 /// and in catalog order, returning the merged [`AnswerSet`] plus the
 /// summed `(tuples scanned, answers produced)` counters.
 ///
-/// This is the executor behind every certified `UdiSystem::answer*` path:
-/// it spawns no threads and takes no locks, so the `hot-path-cert` audit
-/// pass can prove the whole read path quiescent. Serving loops that want
-/// source-level parallelism opt in explicitly via
-/// [`UdiSystem::answer_parallel`](crate::UdiSystem::answer_parallel),
-/// which routes through [`fan_out_parallel`] instead. When a user trace
-/// sink is installed, each source gets a `query.source` span parented on
-/// `parent`; without a sink those spans are skipped to keep the hot path
-/// free of per-source sink traffic.
+/// This is the executor behind every `UdiSystem::answer*` path: it spawns
+/// no threads and takes no locks, so the `hot-path-cert` audit pass can
+/// prove the whole read path quiescent. A plan/catalog shape mismatch
+/// degrades to an empty binding set rather than panicking (counted as
+/// `query.plan.shape_mismatch`). When a user trace sink is installed, each
+/// source gets a `query.source` span parented on `parent`; without a sink
+/// those spans are skipped to keep the hot path free of per-source sink
+/// traffic.
 pub(crate) fn fan_out<F>(
     sys: &UdiSystem,
     plan: &QueryPlan,
@@ -333,106 +329,38 @@ pub(crate) fn fan_out<F>(
     per_source: F,
 ) -> (AnswerSet, u64, u64)
 where
-    F: Fn(&Table, &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) + Sync,
-{
-    let run_one = source_runner(sys, plan, parent, &per_source);
-    let results: Vec<(SourceId, Vec<AnswerTuple>, u64)> =
-        sys.catalog().iter_sources().map(run_one).collect();
-    merge(results)
-}
-
-/// [`fan_out`] with the per-source work spread across `config.threads`
-/// scoped workers. Parallelism is invisible in the output: sources are
-/// independent, each worker owns a contiguous chunk, and the merge
-/// re-concatenates chunks in catalog order — byte-identical to the
-/// sequential executor at any thread count.
-pub(crate) fn fan_out_parallel<F>(
-    sys: &UdiSystem,
-    plan: &QueryPlan,
-    parent: u64,
-    per_source: F,
-) -> (AnswerSet, u64, u64)
-where
-    F: Fn(&Table, &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) + Sync,
-{
-    let sources: Vec<(SourceId, &Table)> = sys.catalog().iter_sources().collect();
-    let n = sources.len();
-    let threads = sys.engine().config().threads;
-    if threads <= 1 || n < 2 {
-        let run_one = source_runner(sys, plan, parent, &per_source);
-        return merge(sources.into_iter().map(run_one).collect());
-    }
-    let run_one = source_runner(sys, plan, parent, &per_source);
-    let n_workers = threads.min(n);
-    let chunk = n.div_ceil(n_workers);
-    let mut work = sources;
-    let mut parts: Vec<Vec<(SourceId, &Table)>> = Vec::new();
-    while !work.is_empty() {
-        let take = chunk.min(work.len());
-        parts.push(work.drain(..take).collect());
-    }
-    let chunks: Vec<Vec<(SourceId, Vec<AnswerTuple>, u64)>> = std::thread::scope(|scope| {
-        let run_one = &run_one;
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| scope.spawn(move || part.into_iter().map(run_one).collect()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Per-source execution is panic-free; a worker panic
-                // can only be a bug surfacing inside the closure, and
-                // swallowing it would corrupt answers. Forward the
-                // original payload unchanged.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    merge(chunks.into_iter().flatten().collect())
-}
-
-/// The shared per-source step: resolve the plan's bindings for one source
-/// (degrading a plan/catalog shape mismatch to an empty binding set rather
-/// than panicking — counted as `query.plan.shape_mismatch`), run the
-/// caller's closure, and wrap it in a `query.source` span when tracing.
-fn source_runner<'a, F>(
-    sys: &'a UdiSystem,
-    plan: &'a QueryPlan,
-    parent: u64,
-    per_source: &'a F,
-) -> impl Fn((SourceId, &'a Table)) -> (SourceId, Vec<AnswerTuple>, u64) + Sync + 'a
-where
-    F: Fn(&Table, &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) + Sync,
+    F: Fn(&Table, &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64),
 {
     let trace = sys.engine().trace_enabled();
     let recorder = sys.engine().recorder();
-    move |(sid, table): (SourceId, &Table)| {
-        let idx = sid.0 as usize;
-        let bindings = match plan.per_source.get(idx) {
-            Some(b) => b.as_slice(),
-            None => {
-                recorder.count("query.plan.shape_mismatch", 1);
-                &[]
-            }
-        };
-        if trace {
-            let mut span = recorder.span_with_parent("query.source", parent);
-            span.field("source", idx);
-            let (tuples, scanned) = per_source(table, bindings);
-            span.field("tuples_scanned", scanned);
-            span.field("answers", tuples.len());
-            (sid, tuples, scanned)
-        } else {
-            let (tuples, scanned) = per_source(table, bindings);
-            (sid, tuples, scanned)
-        }
-    }
-}
-
-/// Concatenate per-source results (already in catalog order) into one
-/// answer set plus the summed counters.
-fn merge(results: Vec<(SourceId, Vec<AnswerTuple>, u64)>) -> (AnswerSet, u64, u64) {
+    // Every source runs before the answer set is built: growing the set
+    // between scans interleaves its reallocations with the scans' own
+    // allocations, which measured ~1.3x slower read-hot p50 latency.
+    let results: Vec<(SourceId, Vec<AnswerTuple>, u64)> = sys
+        .catalog()
+        .iter_sources()
+        .map(|(sid, table)| {
+            let idx = sid.0 as usize;
+            let bindings = match plan.per_source.get(idx) {
+                Some(b) => b.as_slice(),
+                None => {
+                    recorder.count("query.plan.shape_mismatch", 1);
+                    &[]
+                }
+            };
+            let (tuples, s) = if trace {
+                let mut span = recorder.span_with_parent("query.source", parent);
+                span.field("source", idx);
+                let (tuples, s) = per_source(table, bindings);
+                span.field("tuples_scanned", s);
+                span.field("answers", tuples.len());
+                (tuples, s)
+            } else {
+                per_source(table, bindings)
+            };
+            (sid, tuples, s)
+        })
+        .collect();
     let mut set = AnswerSet::new();
     let (mut scanned, mut produced) = (0u64, 0u64);
     for (sid, tuples, s) in results {
@@ -457,7 +385,7 @@ mod tests {
     fn fill(cache: &PlanCache, n: usize, rec: &udi_obs::Recorder) {
         for i in 0..n {
             cache.get_or_compile(
-                PlanPath::Consolidated,
+                Pooling::Consolidated,
                 &format!("q{i:04}"),
                 1,
                 rec,
@@ -470,8 +398,8 @@ mod tests {
     fn hit_returns_the_cached_plan_without_recompiling() {
         let rec = udi_obs::Recorder::disabled();
         let cache = PlanCache::new();
-        let first = cache.get_or_compile(PlanPath::Consolidated, "q", 1, &rec, empty_plan);
-        let second = cache.get_or_compile(PlanPath::Consolidated, "q", 1, &rec, || {
+        let first = cache.get_or_compile(Pooling::Consolidated, "q", 1, &rec, empty_plan);
+        let second = cache.get_or_compile(Pooling::Consolidated, "q", 1, &rec, || {
             panic!("hit must not recompile")
         });
         assert!(Arc::ptr_eq(&first, &second));
@@ -491,7 +419,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
-                    cache.get_or_compile(PlanPath::Consolidated, "race", 1, &rec, || {
+                    cache.get_or_compile(Pooling::Consolidated, "race", 1, &rec, || {
                         barrier.wait();
                         empty_plan()
                     });
@@ -499,8 +427,8 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 9, "shadowed recompiles must not inflate len");
-        assert!(cache.lookup(PlanPath::Consolidated, "race").is_some());
-        assert!(cache.lookup(PlanPath::Consolidated, "q0000").is_some());
+        assert!(cache.lookup(Pooling::Consolidated, "race").is_some());
+        assert!(cache.lookup(Pooling::Consolidated, "q0000").is_some());
     }
 
     #[test]
@@ -511,22 +439,22 @@ mod tests {
         assert_eq!(cache.len(), PLAN_CACHE_CAP);
         // The chains are append-only: at the cap nothing is evicted and
         // nothing new is retained — the caller still gets a usable plan.
-        let plan = cache.get_or_compile(PlanPath::Consolidated, "zz-new", 1, &rec, empty_plan);
+        let plan = cache.get_or_compile(Pooling::Consolidated, "zz-new", 1, &rec, empty_plan);
         assert!(plan.is_answerable());
         assert_eq!(cache.len(), PLAN_CACHE_CAP);
-        assert!(cache.lookup(PlanPath::Consolidated, "zz-new").is_none());
-        assert!(cache.lookup(PlanPath::Consolidated, "q0000").is_some());
+        assert!(cache.lookup(Pooling::Consolidated, "zz-new").is_none());
+        assert!(cache.lookup(Pooling::Consolidated, "q0000").is_some());
     }
 
     #[test]
     fn stale_generation_is_a_miss_and_latest_shadows() {
         let rec = udi_obs::Recorder::disabled();
         let cache = PlanCache::new();
-        cache.get_or_compile(PlanPath::Consolidated, "q", 1, &rec, empty_plan);
-        let v2 = cache.get_or_compile(PlanPath::Consolidated, "q", 2, &rec, empty_plan);
+        cache.get_or_compile(Pooling::Consolidated, "q", 1, &rec, empty_plan);
+        let v2 = cache.get_or_compile(Pooling::Consolidated, "q", 2, &rec, empty_plan);
         assert_eq!(v2.generation(), 2);
         assert_eq!(cache.len(), 1);
-        let seen = cache.lookup(PlanPath::Consolidated, "q").expect("cached");
+        let seen = cache.lookup(Pooling::Consolidated, "q").expect("cached");
         assert_eq!(seen.generation(), 2, "lookup must prefer the latest node");
     }
 
@@ -534,13 +462,13 @@ mod tests {
     fn clone_compacts_shadowed_nodes() {
         let rec = udi_obs::Recorder::disabled();
         let cache = PlanCache::new();
-        cache.get_or_compile(PlanPath::Consolidated, "q", 1, &rec, empty_plan);
-        cache.get_or_compile(PlanPath::Consolidated, "q", 2, &rec, empty_plan);
+        cache.get_or_compile(Pooling::Consolidated, "q", 1, &rec, empty_plan);
+        cache.get_or_compile(Pooling::Consolidated, "q", 2, &rec, empty_plan);
         fill(&cache, 4, &rec);
         let snap = cache.clone();
         assert_eq!(snap.len(), cache.len());
         assert_eq!(snap.appended.load(Ordering::Relaxed), snap.len());
-        let seen = snap.lookup(PlanPath::Consolidated, "q").expect("cached");
+        let seen = snap.lookup(Pooling::Consolidated, "q").expect("cached");
         assert_eq!(seen.generation(), 2);
     }
 }

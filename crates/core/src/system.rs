@@ -219,14 +219,6 @@ impl UdiSystem {
         &self.engine
     }
 
-    /// Set how many worker threads query execution (and setup stage 3) may
-    /// use. `1` forces the sequential path; answers are byte-identical at
-    /// every thread count. Changing the count does not invalidate cached
-    /// plans — only artifact mutations do.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
     /// The prepared-plan cache (see [`crate::prepared`]).
     pub(crate) fn plans(&self) -> &PlanCache {
         &self.plans

@@ -17,59 +17,11 @@
 
 use std::collections::BTreeMap;
 
+pub use udi_core::AnswerPath;
 use udi_query::AnswerSet;
 use udi_store::{Table, Value};
 
 use crate::json::{parse, render_float, render_int, render_string, Json, ParseJsonError};
-
-/// Which of the five answer paths an `answer` request runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnswerPath {
-    /// Consolidated mediated schema (`UdiSystem::answer`).
-    Consolidated,
-    /// Full probabilistic mediated schema (`answer_with_pmed`).
-    Pmed,
-    /// Top-1 mapping only (`answer_top_mapping`).
-    TopMapping,
-    /// By-tuple semantics (`answer_by_tuple`).
-    ByTuple,
-    /// Aggregate queries (`answer_aggregate`).
-    Aggregate,
-}
-
-impl AnswerPath {
-    /// Parses the wire name of a path.
-    pub fn from_name(name: &str) -> Option<AnswerPath> {
-        match name {
-            "consolidated" => Some(AnswerPath::Consolidated),
-            "pmed" => Some(AnswerPath::Pmed),
-            "top_mapping" => Some(AnswerPath::TopMapping),
-            "by_tuple" => Some(AnswerPath::ByTuple),
-            "aggregate" => Some(AnswerPath::Aggregate),
-            _ => None,
-        }
-    }
-
-    /// The wire name of this path.
-    pub fn name(self) -> &'static str {
-        match self {
-            AnswerPath::Consolidated => "consolidated",
-            AnswerPath::Pmed => "pmed",
-            AnswerPath::TopMapping => "top_mapping",
-            AnswerPath::ByTuple => "by_tuple",
-            AnswerPath::Aggregate => "aggregate",
-        }
-    }
-
-    /// All five paths, in wire-name order used by benches and tests.
-    pub const ALL: [AnswerPath; 5] = [
-        AnswerPath::Consolidated,
-        AnswerPath::Pmed,
-        AnswerPath::TopMapping,
-        AnswerPath::ByTuple,
-        AnswerPath::Aggregate,
-    ];
-}
 
 /// The operation a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

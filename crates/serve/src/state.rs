@@ -18,10 +18,10 @@
 //! span whose id is the per-request trace id, and [`answer_into`] parents
 //! the library's `query.answer` span (and, through it, the per-source
 //! `query.source` spans) onto that id — one request, one connected trace
-//! tree. [`answer_into`] streams the whole ok reply straight into the
-//! caller's buffer; [`execute_answer`] runs the same answer step (one
-//! shared path match) but renders a [`Json`] tree, and is kept as the
-//! oracle the identity tests and benches compare the wire against.
+//! tree. Both answer entries run [`UdiSystem::answer_with`]:
+//! [`answer_into`] streams the whole ok reply straight into the caller's
+//! buffer, and [`execute_answer`] renders a [`Json`] tree instead, kept as
+//! the oracle the identity tests and benches compare the wire against.
 //! [`handle`] is the matching `Json`-valued dispatcher. Both answer
 //! entries are certified deterministic (`audit.toml [determinism]`):
 //! everything reachable from them sticks to order-stable containers and
@@ -35,7 +35,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use udi_core::{Feedback, UdiSystem};
 use udi_obs::{CounterSink, Recorder, Span};
-use udi_query::AnswerSet;
 
 use crate::json::Json;
 use crate::proto::{
@@ -323,40 +322,6 @@ pub fn stats_response(state: &ServeState, tenant: &Tenant, id: Option<i64>) -> J
     ok_response(id, sys.engine().generation(), extra)
 }
 
-/// Parses and executes `query` on `path` against one snapshot. The
-/// `parent` span id parents the library's `query.answer` span so
-/// per-source work joins the request's trace.
-fn answer_set(
-    sys: &UdiSystem,
-    path: AnswerPath,
-    query: &str,
-    parent: u64,
-) -> Result<AnswerSet, udi_query::ParseError> {
-    let set = match path {
-        AnswerPath::Consolidated => {
-            let q = udi_query::parse_query(query)?;
-            sys.answer_traced(&q, parent)
-        }
-        AnswerPath::Pmed => {
-            let q = udi_query::parse_query(query)?;
-            sys.answer_with_pmed_traced(&q, parent)
-        }
-        AnswerPath::TopMapping => {
-            let q = udi_query::parse_query(query)?;
-            sys.answer_top_mapping_traced(&q, parent)
-        }
-        AnswerPath::ByTuple => {
-            let q = udi_query::parse_query(query)?;
-            sys.answer_by_tuple_traced(&q, parent)
-        }
-        AnswerPath::Aggregate => {
-            let q = udi_query::parse_aggregate_query(query)?;
-            sys.answer_aggregate_traced(&q, parent)
-        }
-    };
-    Ok(set)
-}
-
 /// Parses and executes `query` on `path` against one snapshot, rendering
 /// the wire `answers` array as a [`Json`] tree. The `parent` span id
 /// parents the library's `query.answer` span so per-source work joins the
@@ -371,7 +336,7 @@ pub fn execute_answer(
     query: &str,
     parent: u64,
 ) -> Result<Json, udi_query::ParseError> {
-    Ok(render_answers(&answer_set(sys, path, query, parent)?))
+    Ok(render_answers(&sys.answer_with(path, query, parent)?))
 }
 
 /// Parses and executes `query` on `path` against one snapshot and appends
@@ -386,7 +351,7 @@ pub fn answer_into(
     id: Option<i64>,
     out: &mut String,
 ) -> Result<(), udi_query::ParseError> {
-    let set = answer_set(sys, path, query, parent)?;
+    let set = sys.answer_with(path, query, parent)?;
     answer_reply_into(id, sys.engine().generation(), path, &set, out);
     Ok(())
 }

@@ -1,16 +1,17 @@
-//! Parallel query execution must be invisible in the output: any thread
-//! count, and a warm plan cache versus a cold one, must produce answers
-//! **byte-identical** (probabilities compared via `f64::to_bits`) to the
-//! sequential, uncached path. The plan cache must also never survive an
-//! artifact mutation — `add_source` moves the engine generation, so the
-//! next answer recompiles against the new catalog.
+//! The prepared-plan cache must be invisible in the output: on every
+//! answer path, a warm plan and a cold one must produce answers
+//! **byte-identical** (probabilities compared via `f64::to_bits`). The plan
+//! cache must also never survive an artifact mutation — `add_source` moves
+//! the engine generation, so the next answer recompiles against the new
+//! catalog.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use udi::core::{UdiConfig, UdiSystem};
+use udi::core::{AnswerPath, UdiConfig, UdiSystem};
 use udi::datagen::{generate, Domain, GenConfig};
 use udi::eval::generate_workload;
+use udi::obs::MemorySink;
 use udi::query::{AnswerSet, Query};
 use udi::store::Table;
 
@@ -39,45 +40,43 @@ fn car_fixture(n_sources: usize, seed: u64) -> (udi::datagen::GeneratedDomain, V
     (gen, queries)
 }
 
-#[test]
-fn thread_count_and_plan_temperature_do_not_change_answers() {
-    let (gen, queries) = car_fixture(25, 7);
-    // `seq` stays sequential; `par` starts at 4 threads and is re-knobbed
-    // per iteration. Both caches start cold.
-    let seq = UdiSystem::setup(gen.catalog.clone(), UdiConfig::default()).expect("setup");
-    let mut par = UdiSystem::setup(
-        gen.catalog.clone(),
-        UdiConfig {
-            threads: 4,
-            ..UdiConfig::default()
-        },
-    )
-    .expect("setup");
-    for q in &queries {
-        let cold_seq = bits(&seq.answer(q));
-        let warm_seq = bits(&seq.answer(q));
-        assert_eq!(cold_seq, warm_seq, "warm plan changed answers: {q}");
-        for threads in [2, 4, 8] {
-            par.set_threads(threads);
-            assert_eq!(cold_seq, bits(&par.answer(q)), "{threads} threads: {q}");
+/// `query` as text for `path`: aggregates count rows per value of the
+/// first selected attribute, under the same predicates.
+fn text_on(path: AnswerPath, query: &Query) -> String {
+    let text = query.to_string();
+    match (path, query.select.first(), text.find(" FROM ")) {
+        (AnswerPath::Aggregate, Some(first), Some(from)) => {
+            format!("SELECT {first}, COUNT(*){} GROUP BY {first}", &text[from..])
         }
-        // The other serving paths ride the same fan-out.
-        for threads in [1, 8] {
-            par.set_threads(threads);
+        _ => text,
+    }
+}
+
+#[test]
+fn cold_and_warm_plans_answer_identically_on_every_path() {
+    let (gen, queries) = car_fixture(25, 7);
+    // Never answered, so every clone of it starts with an empty plan cache.
+    let pristine = UdiSystem::setup(gen.catalog.clone(), UdiConfig::default()).expect("setup");
+    for path in AnswerPath::ALL {
+        let mut udi = pristine.clone();
+        let sink = Arc::new(MemorySink::new());
+        udi.set_sink(Some(sink.clone()));
+        for q in &queries {
+            let text = text_on(path, q);
+            let cold = bits(&udi.answer_with(path, &text, 0).expect("parses"));
+            let hits = sink.counter_total("query.plan.hit");
+            let warm = bits(&udi.answer_with(path, &text, 0).expect("parses"));
             assert_eq!(
-                bits(&seq.answer_with_pmed(q)),
-                bits(&par.answer_with_pmed(q)),
-                "pmed, {threads} threads: {q}"
+                sink.counter_total("query.plan.hit"),
+                hits + 1,
+                "second call reuses the plan: {} {text}",
+                path.name()
             );
             assert_eq!(
-                bits(&seq.answer_top_mapping(q)),
-                bits(&par.answer_top_mapping(q)),
-                "top-mapping, {threads} threads: {q}"
-            );
-            assert_eq!(
-                bits(&seq.answer_by_tuple(q)),
-                bits(&par.answer_by_tuple(q)),
-                "by-tuple, {threads} threads: {q}"
+                cold,
+                warm,
+                "warm plan changed answers: {} {text}",
+                path.name()
             );
         }
     }
@@ -163,33 +162,33 @@ fn plan_cache_counters_and_source_spans_are_observable() {
 }
 
 /// Shared fixture for the property: setup is expensive, so build one
-/// system and re-knob its thread count under a lock per case.
-fn shared() -> &'static (Mutex<UdiSystem>, Vec<Query>) {
-    static FX: OnceLock<(Mutex<UdiSystem>, Vec<Query>)> = OnceLock::new();
+/// never-answered system (cloned per case for a cold cache) and one
+/// serving system whose cache warms up across cases.
+fn shared() -> &'static (UdiSystem, UdiSystem, Vec<Query>) {
+    static FX: OnceLock<(UdiSystem, UdiSystem, Vec<Query>)> = OnceLock::new();
     FX.get_or_init(|| {
         let (gen, queries) = car_fixture(18, 1234);
-        let udi = UdiSystem::setup(gen.catalog.clone(), UdiConfig::default()).expect("setup");
-        (Mutex::new(udi), queries)
+        let pristine = UdiSystem::setup(gen.catalog.clone(), UdiConfig::default()).expect("setup");
+        let serving = pristine.clone();
+        (pristine, serving, queries)
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For any workload query and any thread count, `answer` and
-    /// `answer_with_pmed` are byte-identical to the sequential path —
-    /// regardless of whether the plan cache is cold (first visit) or warm
-    /// (every revisit).
+    /// For any workload query on any answer path, a cold plan (a fresh
+    /// cache) and a warm one (the serving system, whose cache every
+    /// earlier case and the first call here have populated) give
+    /// byte-identical answers.
     #[test]
-    fn any_thread_count_is_byte_identical(qi in 0usize..8, threads in prop::sample::select(vec![1usize, 2, 4, 8])) {
-        let (udi, queries) = shared();
-        let mut udi = udi.lock().expect("fixture lock");
-        let q = &queries[qi];
-        udi.set_threads(1);
-        let seq = bits(&udi.answer(q));
-        let seq_pmed = bits(&udi.answer_with_pmed(q));
-        udi.set_threads(threads);
-        prop_assert_eq!(seq, bits(&udi.answer(q)), "{} threads: {}", threads, q);
-        prop_assert_eq!(seq_pmed, bits(&udi.answer_with_pmed(q)), "pmed {} threads: {}", threads, q);
+    fn any_path_is_byte_identical_cold_and_warm(qi in 0usize..8, path in prop::sample::select(AnswerPath::ALL.to_vec())) {
+        let (pristine, serving, queries) = shared();
+        let text = text_on(path, &queries[qi]);
+        let cold = bits(&pristine.clone().answer_with(path, &text, 0).expect("parses"));
+        let first = bits(&serving.answer_with(path, &text, 0).expect("parses"));
+        let warm = bits(&serving.answer_with(path, &text, 0).expect("parses"));
+        prop_assert_eq!(&cold, &first, "{} {}", path.name(), text);
+        prop_assert_eq!(&cold, &warm, "{} {}", path.name(), text);
     }
 }
