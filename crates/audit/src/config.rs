@@ -21,7 +21,7 @@
 //! exempt-crates = ["udi-obs"]
 //!
 //! [effects]
-//! exempt-crates = ["udi-obs"]
+//! exempt-crates = ["udi-obs::sink"]   # a crate, or one module of it
 //! lock-free = ["udi-serve::execute_answer"]
 //! io-free = ["udi-core::UdiSystem::answer"]
 //! spawn-free = ["udi-core::UdiSystem::answer"]
@@ -70,15 +70,16 @@ pub struct Config {
     /// `fn` id-paths (`crate::(Type::)name`) the determinism pass
     /// certifies transitively. Empty disables the pass.
     pub determinism_entries: Vec<String>,
-    /// Crates exempt from determinism sites (the timing authority reads
-    /// the clock by design).
+    /// Crates, or `crate::module`s, exempt from determinism sites (the
+    /// timing authority reads the clock by design). See [`is_exempt`].
     pub determinism_exempt: Vec<String>,
-    /// Crates exempt from the lock-order pass.
+    /// Crates, or `crate::module`s, exempt from the lock-order pass.
     pub lock_order_exempt: Vec<String>,
-    /// Crates exempt from the error-discard pass.
+    /// Crates, or `crate::module`s, exempt from the error-discard pass.
     pub error_discard_exempt: Vec<String>,
-    /// Crates whose bodies the effect-inference engine treats as
-    /// effect-free (the obs layer's sink registry locks by design).
+    /// Crates, or `crate::module`s, whose bodies the effect-inference
+    /// engine treats as effect-free (the obs layer's sink registry locks
+    /// by design).
     pub effects_exempt: Vec<String>,
     /// `fn` id-paths that must certify lock-free.
     pub effects_lock_free: Vec<String>,
@@ -118,6 +119,23 @@ impl Default for Config {
             source: None,
         }
     }
+}
+
+/// Whether an `exempt-crates` list covers a fn of `crate_name` defined in
+/// the workspace file `rel`. An entry names a whole crate (`udi-obs`) or
+/// one top-level module of it (`udi-obs::sink`: the file `src/sink.rs` or
+/// the directory `src/sink/`), so a crate whose sanctioned effects live
+/// in a few modules keeps the rest under the certificates.
+pub fn is_exempt(list: &[String], crate_name: &str, rel: &str) -> bool {
+    let module = rel
+        .split('/')
+        .skip_while(|c| *c != "src")
+        .nth(1)
+        .map(|m| m.strip_suffix(".rs").unwrap_or(m));
+    list.iter().any(|e| match e.split_once("::") {
+        None => e == crate_name,
+        Some((c, m)) => c == crate_name && module == Some(m),
+    })
 }
 
 /// Load `root/audit.toml`; a missing file yields [`Config::default`].
@@ -397,6 +415,18 @@ ratchet = "audit.ratchet"
         let err = parse_config("[nope]\nkey = 1\n", "audit.toml").unwrap_err();
         assert_eq!(err.0, 2);
         assert!(err.1.contains("unknown config key"));
+    }
+
+    #[test]
+    fn exemptions_name_a_crate_or_one_of_its_modules() {
+        let list = vec!["udi-a".to_owned(), "udi-b::sink".to_owned()];
+        assert!(is_exempt(&list, "udi-a", "crates/a/src/json.rs"));
+        assert!(is_exempt(&list, "udi-b", "crates/b/src/sink.rs"));
+        assert!(is_exempt(&list, "udi-b", "crates/b/src/sink/mod.rs"));
+        assert!(!is_exempt(&list, "udi-b", "crates/b/src/json.rs"));
+        assert!(!is_exempt(&list, "udi-b", "crates/b/src/lib.rs"));
+        assert!(!is_exempt(&list, "udi-b", "crates/b/src/sinks.rs"));
+        assert!(!is_exempt(&list, "udi-c", "crates/c/src/sink.rs"));
     }
 
     #[test]

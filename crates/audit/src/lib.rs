@@ -72,6 +72,8 @@ pub mod ratchet;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use udi_obs::json::render_string;
+
 pub use classify::{classify, collect_sources, CodeKind, FileClass};
 pub use config::{load_config, parse_config, Config, IndexMode};
 pub use lints::{all_lints, audit_source, Diagnostic, LintInfo, Severity, LINTS};
@@ -211,65 +213,52 @@ impl AuditReport {
 
     /// Machine-readable rendering: one JSON object with summary counts
     /// (total and per-lint) and a `diagnostics` array. Stable field
-    /// order, no external serializer.
+    /// order; strings go through the workspace codec's renderer.
     pub fn to_json(&self) -> String {
-        let by_lint = self.by_lint();
-        let by_lint = by_lint
-            .iter()
-            .map(|(l, n)| format!("\"{}\":{n}", json_escape(l)))
-            .collect::<Vec<_>>()
-            .join(",");
         let mut out = String::with_capacity(256 + self.diagnostics.len() * 160);
         out.push_str(&format!(
-            "{{\"files_scanned\":{},\"lex_count\":{},\"errors\":{},\"warnings\":{},\"by_lint\":{{{by_lint}}},\"diagnostics\":[",
+            "{{\"files_scanned\":{},\"lex_count\":{},\"errors\":{},\"warnings\":{},\"by_lint\":{{",
             self.files_scanned,
             self.lex_count,
             self.errors().count(),
             self.warnings().count(),
         ));
+        for (i, (lint, n)) in self.by_lint().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            render_string(lint, &mut out);
+            out.push_str(&format!(":{n}"));
+        }
+        out.push_str("},\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"lint\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"notes\":[",
-                d.severity.word(),
-                json_escape(d.lint),
-                json_escape(&d.path),
-                d.line,
-                d.col,
-                json_escape(&d.message),
+                "{{\"severity\":\"{}\",\"lint\":",
+                d.severity.word()
             ));
+            render_string(d.lint, &mut out);
+            out.push_str(",\"path\":");
+            render_string(&d.path, &mut out);
+            out.push_str(&format!(
+                ",\"line\":{},\"col\":{},\"message\":",
+                d.line, d.col
+            ));
+            render_string(&d.message, &mut out);
+            out.push_str(",\"notes\":[");
             for (j, n) in d.notes.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                out.push_str(&json_escape(n));
-                out.push('"');
+                render_string(n, &mut out);
             }
             out.push_str("]}");
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run every enabled lint and pass over a loaded workspace.

@@ -24,6 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use super::node_exempt;
 use crate::classify::CodeKind;
 use crate::config::Config;
 use crate::graph::CallGraph;
@@ -66,7 +67,7 @@ pub fn run(
     for (f, node) in graph.fns.iter().enumerate() {
         if node.in_test
             || node.kind != CodeKind::Lib
-            || cfg.determinism_exempt.iter().any(|c| c == &node.crate_name)
+            || node_exempt(&cfg.determinism_exempt, ws, node)
         {
             continue;
         }

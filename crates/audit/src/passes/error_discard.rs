@@ -26,6 +26,7 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
+use super::node_exempt;
 use crate::cfg::{Cfg, StmtKind};
 use crate::classify::CodeKind;
 use crate::config::Config;
@@ -52,10 +53,7 @@ pub fn run(
     for (f, node) in graph.fns.iter().enumerate() {
         if node.in_test
             || node.kind != CodeKind::Lib
-            || cfg
-                .error_discard_exempt
-                .iter()
-                .any(|c| c == &node.crate_name)
+            || node_exempt(&cfg.error_discard_exempt, ws, node)
         {
             continue;
         }

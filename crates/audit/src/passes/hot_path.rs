@@ -23,6 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use super::node_exempt;
 use crate::cfg::Cfg;
 use crate::classify::CodeKind;
 use crate::config::Config;
@@ -92,9 +93,7 @@ pub fn run(
     // summaries nor the witness chains.
     let mut sites: Vec<Vec<EffectSite>> = (0..n).map(|_| Vec::new()).collect();
     for (f, node) in graph.fns.iter().enumerate() {
-        if node.in_test
-            || node.kind != CodeKind::Lib
-            || cfg.effects_exempt.iter().any(|c| c == &node.crate_name)
+        if node.in_test || node.kind != CodeKind::Lib || node_exempt(&cfg.effects_exempt, ws, node)
         {
             continue;
         }

@@ -31,6 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
+use super::node_exempt;
 use crate::cfg::{Cfg, StmtKind};
 use crate::classify::CodeKind;
 use crate::config::Config;
@@ -118,7 +119,7 @@ pub fn run(
     for (f, node) in graph.fns.iter().enumerate() {
         if node.in_test
             || node.kind != CodeKind::Lib
-            || cfg.lock_order_exempt.iter().any(|c| c == &node.crate_name)
+            || node_exempt(&cfg.lock_order_exempt, ws, node)
         {
             continue;
         }
@@ -220,7 +221,7 @@ pub fn run(
         }
         if node.in_test
             || node.kind != CodeKind::Lib
-            || cfg.lock_order_exempt.iter().any(|c| c == &node.crate_name)
+            || node_exempt(&cfg.lock_order_exempt, ws, node)
         {
             continue;
         }

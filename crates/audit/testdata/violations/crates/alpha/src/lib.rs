@@ -32,3 +32,6 @@ pub fn safe_tally(v: &[u32]) -> u32 {
     drop(g);
     v.first().copied().unwrap()
 }
+
+pub mod codec;
+pub mod sink;

@@ -128,6 +128,13 @@ pub fn hot_stream() -> u32 {
     rx.recv().unwrap_or(0)
 }
 
+/// Declared lock-free and io-free: the lock in `udi-alpha::sink` is
+/// exempt, the file read in `udi-alpha::codec` is not (one error).
+pub fn hot_render(x: f64) -> String {
+    udi_alpha::sink::record();
+    udi_alpha::codec::render_float(x)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -151,6 +158,7 @@ mod tests {
             super::hot_plan as fn(&str) -> usize,
             super::hot_merge as fn() -> u32,
             super::hot_stream as fn() -> u32,
+            super::hot_render as fn(f64) -> String,
             udi_alpha::hot_tally as fn(&[u32]) -> u32,
             udi_alpha::safe_tally as fn(&[u32]) -> u32,
         );

@@ -31,6 +31,7 @@ use std::time::Instant;
 use udi_bench::{banner, seed, BenchObs};
 use udi_core::{UdiConfig, UdiSystem};
 use udi_datagen::{scale_catalog, ScaleConfig};
+use udi_obs::json::{self, Json};
 use udi_obs::{fmt_rss, peak_rss_bytes};
 
 /// One measured setup run.
@@ -142,18 +143,6 @@ fn render_json(smoke: bool, entries: &[Entry], norm_blocked_1k: f64) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Extract a numeric field from a flat JSON document — enough to read the
-/// committed baseline back without a parser dependency.
-fn json_f64_field(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parse `--flag` / `--flag VALUE` / `--flag=VALUE` style arguments.
@@ -274,8 +263,15 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let Some(base) = json_f64_field(&text, "norm_blocked_1k") else {
-            eprintln!("baseline {path} has no norm_blocked_1k field");
+        let base = match json::parse(&text) {
+            Ok(doc) => doc.get("norm_blocked_1k").and_then(Json::as_f64),
+            Err(e) => {
+                eprintln!("baseline {path} is not valid JSON: {e}");
+                std::process::exit(2);
+            }
+        };
+        let Some(base) = base else {
+            eprintln!("baseline {path} has no numeric norm_blocked_1k field");
             std::process::exit(2);
         };
         println!("baseline ratio {base:.3}, current {norm_blocked_1k:.3}");

@@ -146,14 +146,23 @@ pub struct SetupEngine {
     generation: u64,
 }
 
+/// The schema set a fresh engine imports from `catalog`: sources in catalog
+/// order, each attribute interned where it first appears. The snapshot
+/// writer numbers attribute ids with it too, so they are the ids a reload
+/// sees.
+pub(crate) fn import_schema_set(catalog: &Catalog) -> SchemaSet {
+    let mut schema_set = SchemaSet::default();
+    for (_, table) in catalog.iter_sources() {
+        schema_set.add_source(table.name(), table.attributes().iter().map(String::as_str));
+    }
+    schema_set
+}
+
 impl SetupEngine {
     /// Engine over `catalog` with no artifacts computed yet. Call
     /// [`refresh`](SetupEngine::refresh) to configure.
     pub fn new(catalog: Catalog, config: UdiConfig) -> SetupEngine {
-        let mut schema_set = SchemaSet::default();
-        for (_, table) in catalog.iter_sources() {
-            schema_set.add_source(table.name(), table.attributes().iter().map(String::as_str));
-        }
+        let schema_set = import_schema_set(&catalog);
         let rows = vec![None; catalog.source_count()];
         let stats = Arc::new(CounterSink::new());
         let recorder = Recorder::new(stats.clone());
@@ -315,6 +324,12 @@ impl SetupEngine {
             ))?;
         self.schema_set.remove_source(name);
         self.rows.remove(idx);
+        // The next refresh reuses the consolidation outright when schemas
+        // and probabilities do not move; its rows must still line up with
+        // the sources then.
+        if idx < self.cons_rows.len() {
+            self.cons_rows.remove(idx);
+        }
         self.generation += 1;
         Ok(table)
     }
@@ -998,6 +1013,27 @@ mod tests {
         assert_eq!(e.schema_set().vocab().id_of("phone-no"), Some(phone_no));
         assert_eq!(e.schema_set().frequency(phone_no), 0.0);
         assert!(e.remove_source("s2").is_err(), "already gone");
+    }
+
+    #[test]
+    fn remove_source_keeps_consolidated_rows_aligned() {
+        // Dropping s1 leaves s2 and s3 symmetric, so the schemas and their
+        // probabilities stay bit-identical and the consolidation is reused;
+        // each remaining source must keep its own consolidated row.
+        let measure = UdiConfig::default().measure.build();
+        let mut e = SetupEngine::new(people_catalog(), UdiConfig::default());
+        e.refresh(&*measure).unwrap();
+        e.remove_source("s1").unwrap();
+        e.refresh(&*measure).unwrap();
+        let vocab = e.schema_set().vocab();
+        for (s, (_, t)) in e.catalog().iter_sources().enumerate() {
+            for (m, _) in e.consolidated_pmapping(s).mappings() {
+                for (a, _) in m.correspondences() {
+                    let a = vocab.name(a);
+                    assert!(t.attributes().iter().any(|x| x == a), "{a} in row {s}");
+                }
+            }
+        }
     }
 
     #[test]

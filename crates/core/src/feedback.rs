@@ -19,13 +19,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use udi_similarity::Similarity;
 
 use crate::system::UdiSystem;
 
 /// Accumulated human judgments about attribute-name pairs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Feedback {
     same: BTreeSet<(String, String)>,
     different: BTreeSet<(String, String)>,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::json::{render_float, render_string};
+
 /// A scalar attached to an event as a named field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Field {
@@ -107,9 +109,10 @@ impl Event {
 
     /// Render the event as one JSON object (the `JsonLinesSink` format).
     ///
-    /// The encoding is hand-rolled so the crate stays dependency-free; the
-    /// output is plain RFC 8259 JSON, one object per line, parseable by any
-    /// JSON library or `jq`.
+    /// The field order is fixed by hand; names, strings and floats go
+    /// through the workspace codec's scalar renderers ([`crate::json`]),
+    /// so the output is plain RFC 8259 JSON, one object per line, parseable
+    /// by any JSON library or `jq`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"t_us\":");
@@ -121,9 +124,8 @@ impl Event {
             EventKind::Counter { .. } => "counter",
             EventKind::Value { .. } => "value",
         });
-        out.push_str("\",\"name\":\"");
-        escape_into(self.name, &mut out);
-        out.push('"');
+        out.push_str("\",\"name\":");
+        render_string(self.name, &mut out);
         if self.span != 0 {
             out.push_str(",\"span\":");
             out.push_str(&self.span.to_string());
@@ -144,7 +146,7 @@ impl Event {
             }
             EventKind::Value { value } => {
                 out.push_str(",\"value\":");
-                push_f64(*value, &mut out);
+                render_float(*value, &mut out);
             }
         }
         if !self.fields.is_empty() {
@@ -153,47 +155,18 @@ impl Event {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                escape_into(name, &mut out);
-                out.push_str("\":");
+                render_string(name, &mut out);
+                out.push(':');
                 match value {
                     Field::U64(v) => out.push_str(&v.to_string()),
-                    Field::F64(v) => push_f64(*v, &mut out),
-                    Field::Str(v) => {
-                        out.push('"');
-                        escape_into(v, &mut out);
-                        out.push('"');
-                    }
+                    Field::F64(v) => render_float(*v, &mut out),
+                    Field::Str(v) => render_string(v, &mut out),
                 }
             }
             out.push('}');
         }
         out.push('}');
         out
-    }
-}
-
-/// JSON has no NaN/Infinity; encode them as null like `serde_json` does.
-fn push_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 

@@ -108,14 +108,13 @@ impl Histogram {
             return None;
         }
         let rank = ((q.clamp(0.0, 1.0) * (self.n as f64 - 1.0)).round() as u64).min(self.n - 1);
+        // rank < n, so some bucket contains it.
         let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
+        let i = self.counts.iter().position(|&c| {
             seen += c;
-            if seen > rank {
-                return Some(Histogram::bucket_bounds(i));
-            }
-        }
-        unreachable!("rank < n implies some bucket contains it")
+            seen > rank
+        })?;
+        Some(Histogram::bucket_bounds(i))
     }
 
     /// Merge another histogram into this one.

@@ -25,6 +25,10 @@
 //! sinks, and [`TraceSummary`] renders the per-span-name timing table the
 //! bench binaries print at exit.
 //!
+//! [`json`] is the workspace's one JSON codec (value type, panic-free
+//! parser, deterministic renderer). Trace events render through it, and so
+//! do the serve protocol, system snapshots and the audit report.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +51,7 @@
 mod clock;
 mod event;
 mod hist;
+pub mod json;
 mod recorder;
 mod rss;
 mod sink;

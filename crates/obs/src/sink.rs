@@ -204,8 +204,13 @@ impl MemorySink {
             if !matches!(e.kind, EventKind::SpanStart) || e.parent == 0 {
                 continue;
             }
-            let (child_start, child_name) = started[&e.span];
-            let (parent_start, parent_name) = started[&e.parent];
+            // Both were recorded by the first pass, which rejects unknown
+            // parents.
+            let (Some(&(child_start, child_name)), Some(&(parent_start, parent_name))) =
+                (started.get(&e.span), started.get(&e.parent))
+            else {
+                continue;
+            };
             if child_start + SLACK_US < parent_start {
                 return Err(format!(
                     "span '{child_name}' starts before its parent '{parent_name}'"

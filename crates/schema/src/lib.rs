@@ -60,7 +60,8 @@ pub use graph::{
 };
 pub use med_schema::{assign_probabilities, build_p_med_schema, enumerate_mediated_schemas};
 pub use model::{
-    AttrId, Mapping, MediatedSchema, PMapping, PMedSchema, SchemaSet, SourceSchema, Vocabulary,
+    AttrId, Mapping, MediatedSchema, ModelError, PMapping, PMedSchema, SchemaSet, SourceSchema,
+    Vocabulary,
 };
 pub use pmapping::{generate_pmapping, generate_pmapping_cached};
 

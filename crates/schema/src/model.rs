@@ -2,44 +2,22 @@
 //! p-med-schemas, mappings and p-mappings.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Identifier of a distinct attribute *name* across all sources.
 ///
 /// The paper treats attributes by name: `f(a)` counts the sources whose
 /// schema contains the name `a`, and mediated attributes are sets of names.
 /// Two sources using the same label therefore share one `AttrId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrId(pub u32);
 
 /// Bidirectional attribute-name registry.
-///
-/// Serializes as the bare name list; the reverse index is rebuilt on
-/// deserialization so a loaded vocabulary behaves identically.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "Vec<String>", into = "Vec<String>")]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     names: Vec<String>,
     // udi-audit: allow(deterministic-iteration, "reverse index queried by name; iteration always goes through `names`")
     index: HashMap<String, AttrId>,
-}
-
-impl From<Vec<String>> for Vocabulary {
-    fn from(names: Vec<String>) -> Vocabulary {
-        let index = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), AttrId(i as u32)))
-            .collect();
-        Vocabulary { names, index }
-    }
-}
-
-impl From<Vocabulary> for Vec<String> {
-    fn from(v: Vocabulary) -> Vec<String> {
-        v.names
-    }
 }
 
 impl Vocabulary {
@@ -93,7 +71,7 @@ impl Vocabulary {
 }
 
 /// One source schema: a name plus its attribute ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SourceSchema {
     /// Source name (table name).
     pub name: String,
@@ -103,11 +81,7 @@ pub struct SourceSchema {
 
 /// A set of source schemas sharing one vocabulary — the input to the whole
 /// setup pipeline.
-///
-/// Serializes as `{vocab, sources}`; the per-attribute source counts are
-/// derived state, rebuilt on deserialization.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "SchemaSetRepr", into = "SchemaSetRepr")]
+#[derive(Debug, Clone, Default)]
 pub struct SchemaSet {
     vocab: Vocabulary,
     sources: Vec<SourceSchema>,
@@ -116,41 +90,6 @@ pub struct SchemaSet {
     /// `frequent_attributes` is O(|vocab|) instead of O(|vocab| × |sources|
     /// × arity) — at 100k sources the old scan dominated every refresh.
     counts: Vec<usize>,
-}
-
-/// Wire format of [`SchemaSet`] (the pre-counts layout).
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "SchemaSet")]
-struct SchemaSetRepr {
-    vocab: Vocabulary,
-    sources: Vec<SourceSchema>,
-}
-
-impl From<SchemaSetRepr> for SchemaSet {
-    fn from(repr: SchemaSetRepr) -> SchemaSet {
-        let mut counts = vec![0usize; repr.vocab.len()];
-        for s in &repr.sources {
-            for a in distinct_attrs(s) {
-                if let Some(c) = counts.get_mut(a.0 as usize) {
-                    *c += 1;
-                }
-            }
-        }
-        SchemaSet {
-            vocab: repr.vocab,
-            sources: repr.sources,
-            counts,
-        }
-    }
-}
-
-impl From<SchemaSet> for SchemaSetRepr {
-    fn from(set: SchemaSet) -> SchemaSetRepr {
-        SchemaSetRepr {
-            vocab: set.vocab,
-            sources: set.sources,
-        }
-    }
 }
 
 /// The distinct attribute ids of one source schema, in first-occurrence
@@ -259,26 +198,114 @@ impl SchemaSet {
 /// A deterministic mediated schema: a partition of (a subset of) the
 /// attribute universe into disjoint clusters. Each cluster is one *mediated
 /// attribute*.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MediatedSchema {
     clusters: Vec<BTreeSet<AttrId>>,
+}
+
+/// Why a model value could not be built: the invariant of
+/// [`MediatedSchema`], [`PMedSchema`], [`Mapping`] or [`PMapping`] that the
+/// input breaks. The `try_` constructors return it; the plain constructors
+/// panic with its message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ModelError {
+    /// An attribute appears in two clusters of one mediated schema.
+    OverlappingClusters(AttrId),
+    /// A p-med-schema with no mediated schema.
+    NoSchemas,
+    /// A p-mapping with no mapping.
+    NoMappings,
+    /// Probabilities that do not sum to 1 (±1e-6).
+    ProbabilitySum(f64),
+    /// A probability outside `(0, 1]`.
+    ProbabilityOutOfRange(f64),
+    /// The same mediated schema listed twice in a p-med-schema.
+    DuplicateSchema,
+    /// The same mapping listed twice in a p-mapping.
+    DuplicateMapping,
+    /// A mediated attribute that already corresponds to another source
+    /// attribute.
+    MediatedAttributeTaken(usize),
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::OverlappingClusters(a) => {
+                write!(f, "attribute {a:?} appears in two clusters")
+            }
+            ModelError::NoSchemas => write!(f, "a p-med-schema needs at least one schema"),
+            ModelError::NoMappings => write!(f, "a p-mapping needs at least one mapping"),
+            ModelError::ProbabilitySum(total) => write!(f, "probabilities sum to {total}, not 1"),
+            ModelError::ProbabilityOutOfRange(p) => write!(f, "probability {p} out of range"),
+            ModelError::DuplicateSchema => write!(f, "duplicate mediated schema in p-med-schema"),
+            ModelError::DuplicateMapping => write!(f, "duplicate mapping"),
+            ModelError::MediatedAttributeTaken(j) => write!(
+                f,
+                "mediated attribute {j} already corresponds to a different source attribute"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
+
+/// Checks Definition 3.1/3.2's side conditions on a probability
+/// distribution over distinct alternatives: non-empty, every probability in
+/// `(0, 1]`, total 1 (±1e-6), no alternative listed twice.
+fn check_distribution<T: PartialEq>(
+    items: &[(T, f64)],
+    empty: ModelError,
+    duplicate: ModelError,
+) -> Result<(), ModelError> {
+    if items.is_empty() {
+        return Err(empty);
+    }
+    // Written as positive tests so a NaN fails them.
+    let total: f64 = items.iter().map(|(_, p)| p).sum();
+    let sums_to_one = (total - 1.0).abs() < 1e-6;
+    if !sums_to_one {
+        return Err(ModelError::ProbabilitySum(total));
+    }
+    for (i, (m, p)) in items.iter().enumerate() {
+        let in_range = *p > 0.0 && *p <= 1.0 + 1e-9;
+        if !in_range {
+            return Err(ModelError::ProbabilityOutOfRange(*p));
+        }
+        if items
+            .get(..i)
+            .is_some_and(|head| head.iter().any(|(m2, _)| m2 == m))
+        {
+            return Err(duplicate);
+        }
+    }
+    Ok(())
 }
 
 impl MediatedSchema {
     /// Build from clusters; empty clusters are dropped and the result is
     /// canonicalized (clusters sorted by their smallest member) so equal
-    /// partitions compare equal. Panics if clusters overlap.
+    /// partitions compare equal. Panics if clusters overlap — use
+    /// [`MediatedSchema::try_new`] for fallible construction.
     pub fn new(clusters: Vec<BTreeSet<AttrId>>) -> MediatedSchema {
+        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible constructor variant; try_new is the fallible one")
+        MediatedSchema::try_new(clusters).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MediatedSchema::new`], rejecting overlapping clusters.
+    pub fn try_new(clusters: Vec<BTreeSet<AttrId>>) -> Result<MediatedSchema, ModelError> {
         let mut clusters: Vec<BTreeSet<AttrId>> =
             clusters.into_iter().filter(|c| !c.is_empty()).collect();
         let mut seen = BTreeSet::new();
         for c in &clusters {
             for &a in c {
-                assert!(seen.insert(a), "attribute {a:?} appears in two clusters");
+                if !seen.insert(a) {
+                    return Err(ModelError::OverlappingClusters(a));
+                }
             }
         }
         clusters.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
-        MediatedSchema { clusters }
+        Ok(MediatedSchema { clusters })
     }
 
     /// Build from slices of ids (test/construction convenience).
@@ -349,7 +376,7 @@ impl MediatedSchema {
 
 /// A probabilistic mediated schema (Definition 3.1): mediated schemas with
 /// probabilities summing to 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PMedSchema {
     schemas: Vec<(MediatedSchema, f64)>,
 }
@@ -357,24 +384,18 @@ pub struct PMedSchema {
 impl PMedSchema {
     /// Build from `(schema, probability)` pairs. Probabilities must be in
     /// `(0, 1]` and sum to 1 (±1e-6); schemas must be pairwise distinct.
+    /// Panics otherwise — use [`PMedSchema::try_new`] for fallible
+    /// construction.
     pub fn new(schemas: Vec<(MediatedSchema, f64)>) -> PMedSchema {
-        assert!(
-            !schemas.is_empty(),
-            "a p-med-schema needs at least one schema"
-        );
-        let total: f64 = schemas.iter().map(|(_, p)| p).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "probabilities sum to {total}, not 1"
-        );
-        for (i, (m, p)) in schemas.iter().enumerate() {
-            assert!(*p > 0.0 && *p <= 1.0 + 1e-9, "probability {p} out of range");
-            let dup = schemas
-                .get(..i)
-                .is_some_and(|head| head.iter().any(|(m2, _)| m2 == m));
-            assert!(!dup, "duplicate mediated schema in p-med-schema");
-        }
-        PMedSchema { schemas }
+        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible constructor variant; try_new is the fallible one")
+        PMedSchema::try_new(schemas).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PMedSchema::new`], returning the broken side condition instead of
+    /// panicking.
+    pub fn try_new(schemas: Vec<(MediatedSchema, f64)>) -> Result<PMedSchema, ModelError> {
+        check_distribution(&schemas, ModelError::NoSchemas, ModelError::DuplicateSchema)?;
+        Ok(PMedSchema { schemas })
     }
 
     /// The `(schema, probability)` pairs, highest probability first.
@@ -410,7 +431,7 @@ impl PMedSchema {
 /// mediated schema: each source attribute maps to a set of mediated
 /// attributes (cluster indices); each mediated attribute corresponds to at
 /// most one source attribute.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mapping {
     assignments: BTreeMap<AttrId, BTreeSet<usize>>,
 }
@@ -437,13 +458,22 @@ impl Mapping {
     }
 
     /// Add a correspondence `(a → j)`, preserving the invariant that a
-    /// mediated attribute has at most one source attribute.
+    /// mediated attribute has at most one source attribute. Panics if `j`
+    /// already has another source attribute — use [`Mapping::try_insert`]
+    /// for fallible construction.
     pub fn insert(&mut self, a: AttrId, j: usize) {
-        assert!(
-            self.source_of(j).is_none_or(|s| s == a),
-            "mediated attribute {j} already corresponds to a different source attribute"
-        );
+        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible variant; try_insert is the fallible one")
+        self.try_insert(a, j).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`Mapping::insert`], rejecting a second source attribute for `j`.
+    /// The mapping is unchanged on error.
+    pub fn try_insert(&mut self, a: AttrId, j: usize) -> Result<(), ModelError> {
+        if self.source_of(j).is_some_and(|s| s != a) {
+            return Err(ModelError::MediatedAttributeTaken(j));
+        }
         self.assignments.entry(a).or_default().insert(j);
+        Ok(())
     }
 
     /// The mediated attributes `a` maps to.
@@ -485,32 +515,29 @@ impl Mapping {
 
 /// A probabilistic mapping (Definition 3.2): distinct mappings with
 /// probabilities summing to 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PMapping {
     mappings: Vec<(Mapping, f64)>,
 }
 
 impl PMapping {
     /// Build from `(mapping, probability)` pairs; validates the
-    /// Definition 3.2 side conditions.
+    /// Definition 3.2 side conditions and panics if one fails — use
+    /// [`PMapping::try_new`] for fallible construction.
     pub fn new(mappings: Vec<(Mapping, f64)>) -> PMapping {
-        assert!(
-            !mappings.is_empty(),
-            "a p-mapping needs at least one mapping"
-        );
-        let total: f64 = mappings.iter().map(|(_, p)| p).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "probabilities sum to {total}, not 1"
-        );
-        for (i, (m, p)) in mappings.iter().enumerate() {
-            assert!(*p > 0.0 && *p <= 1.0 + 1e-9, "probability {p} out of range");
-            let dup = mappings
-                .get(..i)
-                .is_some_and(|head| head.iter().any(|(m2, _)| m2 == m));
-            assert!(!dup, "duplicate mapping");
-        }
-        PMapping { mappings }
+        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible constructor variant; try_new is the fallible one")
+        PMapping::try_new(mappings).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PMapping::new`], returning the broken side condition instead of
+    /// panicking.
+    pub fn try_new(mappings: Vec<(Mapping, f64)>) -> Result<PMapping, ModelError> {
+        check_distribution(
+            &mappings,
+            ModelError::NoMappings,
+            ModelError::DuplicateMapping,
+        )?;
+        Ok(PMapping { mappings })
     }
 
     /// The `(mapping, probability)` pairs.
@@ -573,26 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn vocabulary_serde_round_trip_rebuilds_index() {
-        if serde_json::to_string(&Vocabulary::new()).is_err() {
-            // Offline stub backend (see offline/README.md): nothing to test.
-            return;
-        }
-        let mut v = Vocabulary::new();
-        v.intern("name");
-        v.intern("phone");
-        let json = serde_json::to_string(&v).unwrap();
-        assert_eq!(json, r#"["name","phone"]"#);
-        let back: Vocabulary = serde_json::from_str(&json).unwrap();
-        assert_eq!(
-            back.id_of("phone"),
-            Some(AttrId(1)),
-            "index must be rebuilt"
-        );
-        assert_eq!(back.name(AttrId(0)), "name");
-    }
-
-    #[test]
     fn schema_set_frequencies() {
         let set = SchemaSet::from_sources([
             ("s1", vec!["name", "phone"]),
@@ -622,10 +629,6 @@ mod tests {
         assert_eq!(set.frequency(name), 1.0, "s2 still has name");
         assert_eq!(set.frequency(phone), 0.0);
         assert_eq!(set.frequent_attributes(0.5), vec![name]);
-        // Rehydration from the wire shape rebuilds the same counts.
-        let back = SchemaSet::from(SchemaSetRepr::from(set.clone()));
-        assert_eq!(back.frequency(name), set.frequency(name));
-        assert_eq!(back.frequency(phone), set.frequency(phone));
     }
 
     #[test]
@@ -727,6 +730,28 @@ mod tests {
     fn pmapping_rejects_duplicates() {
         let a = Mapping::empty();
         PMapping::new(vec![(a.clone(), 0.5), (a, 0.5)]);
+    }
+
+    #[test]
+    fn try_constructors_return_the_broken_condition() {
+        let m0 = MediatedSchema::from_slices(&[&ids(&[0])]);
+        let pmed = |s: Vec<(MediatedSchema, f64)>| PMedSchema::try_new(s).err();
+        assert_eq!(pmed(vec![]), Some(ModelError::NoSchemas));
+        let dup = vec![(m0.clone(), 0.5), (m0.clone(), 0.5)];
+        assert_eq!(pmed(dup), Some(ModelError::DuplicateSchema));
+        // A NaN fails the sum check instead of slipping past it.
+        let nan = pmed(vec![(m0, f64::NAN)]);
+        assert!(matches!(nan, Some(ModelError::ProbabilitySum(t)) if t.is_nan()));
+        let pairs = vec![
+            (Mapping::empty(), 1.5),
+            (Mapping::one_to_one([(AttrId(0), 0)]), -0.5),
+        ];
+        let range = PMapping::try_new(pairs).err();
+        assert_eq!(range, Some(ModelError::ProbabilityOutOfRange(1.5)));
+        let mut m = Mapping::one_to_one([(AttrId(1), 0)]);
+        let taken = m.try_insert(AttrId(2), 0);
+        assert_eq!(taken, Err(ModelError::MediatedAttributeTaken(0)));
+        assert_eq!(m, Mapping::one_to_one([(AttrId(1), 0)]), "unchanged");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! sources and feedback arrive. This crate turns the library into that
 //! service without taking any dependencies:
 //!
-//! - **Protocol** ([`proto`], [`json`]): line-delimited JSON over TCP.
+//! - **Protocol** ([`proto`], and the workspace codec [`udi_obs::json`]
+//!   re-exported as [`json`]): line-delimited JSON over TCP.
 //!   One request line in, one response line out; answers stream through
 //!   the same deterministic scalar renderers as the `Json`-tree oracle the
 //!   identity tests run over library results, so a server answer is
@@ -54,12 +55,10 @@
 //! drop(server); // shuts down listener and workers
 //! ```
 
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod state;
 
-pub use json::{Json, ParseJsonError};
 pub use proto::{
     answer_reply_into, error_response, ok_response, parse_request, render_answers, shed_response,
     AnswerPath, Op, Request, RequestError,
@@ -68,3 +67,5 @@ pub use server::{handle_line, Server, ServerConfig};
 pub use state::{
     answer_into, execute_answer, handle, handle_into, stats_response, ServeState, Tenant,
 };
+pub use udi_obs::json;
+pub use udi_obs::json::{Json, ParseJsonError};

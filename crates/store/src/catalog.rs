@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Shard, StoreError, Table};
 
 /// Default number of sources per shard. Small enough that an incremental
@@ -13,7 +11,7 @@ use crate::{Shard, StoreError, Table};
 pub const DEFAULT_SHARD_CAPACITY: usize = 1024;
 
 /// Opaque identifier of a registered source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub u32);
 
 impl std::fmt::Display for SourceId {
@@ -33,59 +31,13 @@ impl std::fmt::Display for SourceId {
 /// whole catalog (shard boundaries are invisible to id-based lookups); the
 /// shard structure exists so that scans, artifact building, and incremental
 /// updates can operate on bounded, independently parallelizable slices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "CatalogRepr", into = "CatalogRepr")]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     shards: Vec<Shard>,
     shard_capacity: usize,
     /// attribute name → number of sources whose schema contains it
     /// (catalog-wide; each shard holds its own slice of the same stat).
     attr_source_counts: BTreeMap<String, usize>,
-}
-
-/// Flat wire format (the pre-shard layout, kept for compatibility).
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "Catalog")]
-struct CatalogRepr {
-    sources: Vec<Table>,
-    /// Written for the wire shape and read only by serde's `Serialize`
-    /// derive; rehydration recomputes counts from `sources` instead.
-    #[allow(dead_code)]
-    attr_source_counts: BTreeMap<String, usize>,
-}
-
-impl From<CatalogRepr> for Catalog {
-    fn from(repr: CatalogRepr) -> Catalog {
-        // Counts are recomputed from the tables; the persisted map is only
-        // the wire shape, never trusted over the source list itself.
-        let CatalogRepr {
-            sources,
-            attr_source_counts: _,
-        } = repr;
-        let mut c = Catalog::new();
-        for t in sources {
-            // A serialized catalog's sources were all registered once, so
-            // their count fits in the id space; `From` cannot fail, so an
-            // (unreachable) overflow truncates the rehydrated catalog.
-            if c.add_source(t).is_err() {
-                break;
-            }
-        }
-        c
-    }
-}
-
-impl From<Catalog> for CatalogRepr {
-    fn from(c: Catalog) -> CatalogRepr {
-        CatalogRepr {
-            sources: c
-                .shards
-                .into_iter()
-                .flat_map(|s| s.tables().to_vec())
-                .collect(),
-            attr_source_counts: c.attr_source_counts,
-        }
-    }
 }
 
 impl Default for Catalog {
@@ -257,6 +209,11 @@ impl Catalog {
     /// (lexicographic) order.
     pub fn attribute_universe(&self) -> impl Iterator<Item = &str> {
         self.attr_source_counts.keys().map(String::as_str)
+    }
+
+    /// Attribute name → number of sources whose schema contains it.
+    pub fn attr_source_counts(&self) -> &BTreeMap<String, usize> {
+        &self.attr_source_counts
     }
 
     /// Number of distinct attribute names.
@@ -434,23 +391,5 @@ mod tests {
         // here, so a fresh shard opens).
         c.add_source(Table::new("d", ["w"])).unwrap();
         assert_eq!(c.shard_count(), 3);
-    }
-
-    #[test]
-    fn serde_repr_is_flat_and_round_trips() {
-        let mut c = Catalog::with_shard_capacity(2);
-        c.add_source(Table::new("a", ["name"])).unwrap();
-        c.add_source(Table::new("b", ["name", "phone"])).unwrap();
-        c.add_source(Table::new("c", ["title"])).unwrap();
-        let repr = CatalogRepr::from(c.clone());
-        assert_eq!(repr.sources.len(), 3);
-        assert_eq!(repr.sources[2].name(), "c");
-        assert_eq!(repr.attr_source_counts.get("name"), Some(&2));
-        let back = Catalog::from(repr);
-        assert_eq!(back.source_count(), 3);
-        assert_eq!(back.attribute_frequency("name"), 2.0 / 3.0);
-        assert_eq!(back.source(SourceId(2)).unwrap().name(), "c");
-        // Default capacity applies on rehydration.
-        assert_eq!(back.shard_count(), 1);
     }
 }

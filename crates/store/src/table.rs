@@ -7,12 +7,6 @@
 //! striding across heterogeneous rows, and lets a 100k-source corpus drop
 //! the per-row `Vec` header overhead (one allocation per column instead of
 //! one per tuple).
-//!
-//! The serialized form is unchanged: a table still serializes as
-//! `{name, attributes, rows}` (row-major), so fixtures and any persisted
-//! catalogs keep working.
-
-use serde::{Deserialize, Serialize};
 
 use crate::{StoreError, Value};
 
@@ -26,8 +20,7 @@ pub type Row = Vec<Value>;
 /// with a set of attributes", so a source *is* a table. Attribute names are
 /// kept verbatim (heterogeneity is the whole point); matching and
 /// normalization happen upstream in `udi-similarity`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "TableRepr", into = "TableRepr")]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     attributes: Vec<String>,
@@ -35,46 +28,6 @@ pub struct Table {
     cols: Vec<Vec<Value>>,
     /// Row count, tracked explicitly so zero-arity tables still count rows.
     len: usize,
-}
-
-/// Row-major wire format (the pre-columnar layout, kept for compatibility).
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "Table")]
-struct TableRepr {
-    name: String,
-    attributes: Vec<String>,
-    rows: Vec<Row>,
-}
-
-impl From<TableRepr> for Table {
-    fn from(repr: TableRepr) -> Table {
-        let arity = repr.attributes.len();
-        let mut t = Table {
-            name: repr.name,
-            attributes: repr.attributes,
-            cols: vec![Vec::new(); arity],
-            len: 0,
-        };
-        for mut row in repr.rows {
-            // Tolerate ragged persisted rows: pad with NULL, drop extras.
-            // resize() pins the row to the table arity, so push_row cannot
-            // reject it; `.ok()` marks the impossible branch as discarded.
-            row.resize(arity, Value::Null);
-            t.push_row(row).ok();
-        }
-        t
-    }
-}
-
-impl From<Table> for TableRepr {
-    fn from(t: Table) -> TableRepr {
-        let rows = t.to_rows();
-        TableRepr {
-            name: t.name,
-            attributes: t.attributes,
-            rows,
-        }
-    }
 }
 
 impl Table {
@@ -309,31 +262,5 @@ mod tests {
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.row(0), Some(vec![]));
         assert_eq!(t.to_rows(), vec![Vec::<Value>::new(); 2]);
-    }
-
-    #[test]
-    fn repr_round_trip_is_row_major() {
-        let t = sample();
-        let repr = TableRepr::from(t.clone());
-        assert_eq!(repr.rows.len(), 2);
-        assert_eq!(repr.rows[1][2], Value::Int(41));
-        let back = Table::from(repr);
-        assert_eq!(back.to_rows(), t.to_rows());
-        assert_eq!(back.name(), "people");
-    }
-
-    #[test]
-    fn ragged_repr_rows_are_padded_and_truncated() {
-        let repr = TableRepr {
-            name: "r".into(),
-            attributes: vec!["a".into(), "b".into()],
-            rows: vec![
-                vec![Value::Int(1)],
-                vec![Value::Int(2), Value::Int(3), Value::Int(4)],
-            ],
-        };
-        let t = Table::from(repr);
-        assert_eq!(t.row(0), Some(vec![Value::Int(1), Value::Null]));
-        assert_eq!(t.row(1), Some(vec![Value::Int(2), Value::Int(3)]));
     }
 }

@@ -4,8 +4,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// A single cell value.
 ///
 /// Numeric kinds compare to each other numerically; text compares to text
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// the behaviour of a source that stored numbers as strings, which is exactly
 /// the artifact the paper reports for the Course domain ("a numeric
 /// comparison performed on a string data type generates incorrect answers").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL. Compares below everything; equal only to itself for
     /// deduplication purposes (predicate evaluation treats it as no-match).

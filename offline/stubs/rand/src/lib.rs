@@ -1,7 +1,6 @@
 //! Offline stand-in for `rand` 0.8.
 //!
-//! Unlike the serde stubs, this one is **fully functional** for the API
-//! surface the workspace uses: `StdRng::seed_from_u64`, `Rng::gen_range`
+//! The stub is **fully functional** for the API surface the workspace uses: `StdRng::seed_from_u64`, `Rng::gen_range`
 //! (half-open and inclusive integer/float ranges), `Rng::gen_bool`, and
 //! `seq::SliceRandom::{choose, choose_multiple}`. The generator is
 //! splitmix64 — deterministic for a given seed, statistically fine for

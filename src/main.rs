@@ -174,12 +174,9 @@ fn shell(udi: UdiSystem) -> Result<(), AnyError> {
             }
             cmd if cmd.starts_with("\\save") => match cmd.split_whitespace().nth(1) {
                 None => println!("usage: \\save <file>"),
-                Some(path) => match udi.to_json() {
-                    Ok(json) => match std::fs::write(path, json) {
-                        Ok(()) => println!("saved to {path}"),
-                        Err(e) => println!("write failed: {e}"),
-                    },
-                    Err(e) => println!("serialization failed: {e}"),
+                Some(path) => match std::fs::write(path, udi.to_json()) {
+                    Ok(()) => println!("saved to {path}"),
+                    Err(e) => println!("write failed: {e}"),
                 },
             },
             "\\sources" => {

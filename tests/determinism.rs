@@ -7,8 +7,9 @@
 //! suite, and any hash-order nondeterminism in schema enumeration, solver
 //! input assembly, or consolidation would make those checks flaky instead
 //! of red. Byte comparison of the serialized snapshot is the strongest
-//! cheap form of "the same system": it covers the vocabulary, the
-//! p-med-schema, every p-mapping probability bit, and the similarity cache.
+//! cheap form of "the same system": it covers the catalog, the
+//! p-med-schema and every p-mapping probability bit (floats render
+//! shortest-round-trip).
 
 use udi::core::{UdiConfig, UdiSystem};
 use udi::datagen::{generate, Domain, GenConfig};
@@ -29,39 +30,19 @@ fn build(seed: u64, threads: usize) -> UdiSystem {
     UdiSystem::setup(gen.catalog, config).expect("setup")
 }
 
-/// Render a system to a comparable byte string: the JSON snapshot when the
-/// real serde_json backend is present, otherwise (offline stub backend,
-/// see `offline/README.md`) an exhaustive Debug rendering of the
-/// query-facing artifacts. Debug formatting of f64 round-trips the exact
-/// value, so the fallback still detects any probability-bit divergence.
-fn fingerprint(sys: &UdiSystem) -> String {
-    match sys.to_json() {
-        Ok(json) => json,
-        Err(_) => {
-            let mut s = String::new();
-            s.push_str(&format!("{:?}\n", sys.pmed()));
-            s.push_str(&format!("{:?}\n", sys.consolidated()));
-            for src in 0..sys.catalog().source_count() {
-                s.push_str(&format!("{:?}\n", sys.consolidated_pmapping(src)));
-            }
-            s
-        }
-    }
-}
-
 #[test]
 fn identical_seeds_yield_byte_identical_systems() {
     for seed in [7u64, 1234] {
-        let a = fingerprint(&build(seed, 1));
-        let b = fingerprint(&build(seed, 1));
+        let a = build(seed, 1).to_json();
+        let b = build(seed, 1).to_json();
         assert_eq!(a, b, "seed {seed}: two runs diverged");
     }
 }
 
 #[test]
 fn thread_count_does_not_perturb_the_snapshot() {
-    let seq = fingerprint(&build(99, 1));
-    let par = fingerprint(&build(99, 4));
+    let seq = build(99, 1).to_json();
+    let par = build(99, 4).to_json();
     assert_eq!(seq, par, "parallel setup diverged from sequential");
 }
 
@@ -88,7 +69,7 @@ fn incremental_refresh_is_deterministic() {
         let extra = catalog.remove_source(&first).expect("present");
         let mut sys = UdiSystem::setup(catalog, UdiConfig::default()).expect("setup");
         sys.add_source(extra).expect("re-add");
-        fingerprint(&sys)
+        sys.to_json()
     };
     assert_eq!(run(), run(), "incremental path diverged");
 }

@@ -1,5 +1,8 @@
 //! Snapshot persistence across randomized catalogs: a saved-and-reloaded
-//! system must answer identically, always.
+//! system must answer identically, always — also after a source was
+//! removed, when the live attribute ids no longer match a reload's.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -20,6 +23,7 @@ proptest! {
             2..6,
         ),
         seed in 0u64..100,
+        removed in 0usize..8,
     ) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -33,18 +37,29 @@ proptest! {
             }
             catalog.add_source(t).unwrap();
         }
-        let original = match UdiSystem::setup(catalog, UdiConfig::default()) {
+        let mut original = match UdiSystem::setup(catalog, UdiConfig::default()) {
             Ok(u) => u,
             Err(_) => return Ok(()),
         };
-        let json = match original.to_json() {
-            Ok(j) => j,
-            // Offline stub JSON backend (see offline/README.md): skip.
-            Err(_) => return Ok(()),
-        };
+        // Half the cases drop one source first (indices past the catalog
+        // remove nothing).
+        let renumbered = removed < sources.len();
+        if renumbered {
+            original.remove_source(&format!("s{removed}")).unwrap();
+        }
+        let json = original.to_json();
         let loaded = UdiSystem::from_json(&json).expect("deserializes");
 
-        prop_assert_eq!(loaded.consolidated(), original.consolidated());
+        // Clusters by name: a removal renumbers the reloaded vocabulary.
+        let named = |sys: &UdiSystem| -> BTreeSet<BTreeSet<String>> {
+            let vocab = sys.schema_set().vocab();
+            sys.consolidated()
+                .clusters()
+                .iter()
+                .map(|c| c.iter().map(|&a| vocab.name(a).to_owned()).collect())
+                .collect()
+        };
+        prop_assert_eq!(named(&loaded), named(&original));
         prop_assert_eq!(loaded.pmed().len(), original.pmed().len());
         for attr in ["name", "phone", "address", "year", "price"] {
             let q = parse_query(&format!("SELECT {attr} FROM T")).unwrap();
@@ -55,16 +70,19 @@ proptest! {
             prop_assert_eq!(a.len(), b.len(), "attr {}", attr);
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(&x.values, &y.values);
-                prop_assert!((x.probability - y.probability).abs() < 1e-12);
+                if renumbered {
+                    // Reloaded ids order the float sums of consolidation
+                    // differently: agree to 1e-12, as incremental setup
+                    // agrees with batch setup.
+                    prop_assert!((x.probability - y.probability).abs() < 1e-12);
+                } else {
+                    prop_assert_eq!(x.probability.to_bits(), y.probability.to_bits());
+                }
             }
         }
-        // A second round trip stays loadable and equivalent. (Byte
-        // identity is not guaranteed: serde_json's float parsing can land
-        // one ULP off the original at extreme exponents, which is
-        // irrelevant to answer semantics.)
-        let json2 = loaded.to_json().expect("serializes");
-        let loaded2 = UdiSystem::from_json(&json2).expect("re-deserializes");
-        prop_assert_eq!(loaded2.consolidated(), loaded.consolidated());
-        prop_assert_eq!(loaded2.pmed().len(), loaded.pmed().len());
+        // Floats render shortest-round-trip and parse correctly rounded, so
+        // a second save is byte-identical to the first.
+        let json2 = loaded.to_json();
+        prop_assert_eq!(json2, json);
     }
 }
