@@ -41,7 +41,7 @@ impl Integrator for SourceDirect<'_> {
             let binding = Binding::identity(table);
             let rows = execute_with_binding(table, query, &binding);
             let mut acc = SourceAccumulator::new();
-            acc.add_mapping(&rows, 1.0);
+            acc.add_mapping(rows, 1.0);
             set.add_source(sid, acc.finish());
         }
         set

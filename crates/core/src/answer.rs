@@ -9,12 +9,13 @@
 //! bindings, and union the results in catalog order. The paths differ only
 //! in how [`AnswerPath`] pools and how one source is executed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use udi_query::{
-    execute_aggregate_with_binding, execute_with_binding, AggregateQuery, AnswerSet, AnswerTuple,
-    Binding, ParseError, Query, SourceAccumulator,
+    execute_aggregate_with_binding, execute_with_binding, execute_with_binding_indexed,
+    AggregateQuery, AnswerSet, AnswerTuple, Binding, ParseError, Query, SourceAccumulator,
+    TupleAccumulator,
 };
 use udi_schema::{AttrId, Mapping, MediatedSchema};
 use udi_store::{Row, Table};
@@ -493,7 +494,7 @@ fn by_table(
     let mut scanned = 0u64;
     for (binding, p) in bindings {
         scanned += table.row_count() as u64;
-        acc.add_mapping(&rows(binding), *p);
+        acc.add_mapping(rows(binding), *p);
     }
     (acc.finish(), scanned)
 }
@@ -501,52 +502,13 @@ fn by_table(
 /// By-tuple combination over one source (see
 /// [`UdiSystem::answer_by_tuple`]).
 fn by_tuple(table: &Table, query: &Query, bindings: &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) {
-    // Per (row, tuple): total probability of mappings producing it.
-    // `Row` has no `Ord`, so this stays a hash map; emission order
-    // is governed by the insertion-order `order` vec, never by map
-    // iteration.
-    // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via the `order` vec")
-    let mut per_row: HashMap<(usize, Row), f64> = HashMap::new();
-    let mut order: Vec<(usize, Row)> = Vec::new();
+    let mut acc = TupleAccumulator::new();
     let mut scanned = 0u64;
     for (binding, p) in bindings {
         scanned += table.row_count() as u64;
-        for (ri, tuple) in udi_query::execute_with_binding_indexed(table, query, binding) {
-            let key = (ri, tuple);
-            match per_row.get_mut(&key) {
-                Some(q) => *q += p,
-                None => {
-                    per_row.insert(key.clone(), *p);
-                    order.push(key);
-                }
-            }
-        }
+        acc.add_mapping(execute_with_binding_indexed(table, query, binding), *p);
     }
-    // Combine rows producing the same tuple as independent events.
-    // udi-audit: allow(deterministic-iteration, "keyed by Row (no Ord); read by key only, ordered via `tuple_order`")
-    let mut combined: HashMap<Row, f64> = HashMap::new();
-    let mut tuple_order: Vec<Row> = Vec::new();
-    for key in &order {
-        let p_r = per_row.get(key).copied().unwrap_or(0.0).min(1.0);
-        match combined.get_mut(&key.1) {
-            Some(acc) => *acc = 1.0 - (1.0 - *acc) * (1.0 - p_r),
-            None => {
-                combined.insert(key.1.clone(), p_r);
-                tuple_order.push(key.1.clone());
-            }
-        }
-    }
-    let tuples = tuple_order
-        .into_iter()
-        .map(|values| {
-            let probability = combined.get(&values).copied().unwrap_or(0.0);
-            AnswerTuple {
-                values,
-                probability,
-            }
-        })
-        .collect();
-    (tuples, scanned)
+    (acc.finish(), scanned)
 }
 
 /// How one source would answer a query (see [`UdiSystem::explain`]).

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use udi_store::{Row, Table, Value};
 
-use crate::ast::Predicate;
+use crate::ast::{Predicate, PredicateTest};
 use crate::exec::Binding;
 
 /// An aggregate function.
@@ -243,12 +243,14 @@ pub fn execute_aggregate_with_binding(
     let agg_slices: Vec<Option<&[Value]>> = agg_cols.iter().map(|c| c.map(&column)).collect();
 
     let mut groups: BTreeMap<Row, Vec<AggState>> = BTreeMap::new();
+    let mut tests: Vec<PredicateTest<'_>> =
+        query.predicates.iter().map(Predicate::prepare).collect();
     'rows: for ri in 0..table.row_count() {
-        for (p, col) in query.predicates.iter().zip(&pred_slices) {
+        for (test, col) in tests.iter_mut().zip(&pred_slices) {
             // Checked access: a short column (impossible for a well-formed
             // table) reads as no-match instead of panicking.
             let Some(v) = col.get(ri) else { continue 'rows };
-            if !p.op.eval(v, &p.value) {
+            if !test.test(v) {
                 continue 'rows;
             }
         }

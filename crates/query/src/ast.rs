@@ -1,6 +1,6 @@
 //! Query AST: select list plus conjunctive comparison predicates.
 
-use udi_store::{like_match, Value};
+use udi_store::{like_match, LikePattern, Value};
 
 /// Comparison operators supported in `WHERE` clauses (§7.1: "the operator
 /// can be =, ≠, <, ≤, >, ≥ and LIKE").
@@ -81,6 +81,34 @@ impl Predicate {
             attribute: attribute.into(),
             op,
             value: value.into(),
+        }
+    }
+
+    /// This predicate prepared for one scan.
+    pub(crate) fn prepare(&self) -> PredicateTest<'_> {
+        let like = (self.op == CompareOp::Like && !self.value.is_null())
+            .then(|| LikePattern::new(&self.value.to_string()));
+        PredicateTest {
+            predicate: self,
+            like,
+        }
+    }
+}
+
+/// A [`Predicate`] prepared for one scan: a `LIKE` pattern is lowercased
+/// once, not once per row, and matched without allocating per cell.
+pub(crate) struct PredicateTest<'a> {
+    predicate: &'a Predicate,
+    like: Option<LikePattern>,
+}
+
+impl PredicateTest<'_> {
+    /// Whether `cell` satisfies the predicate; always the answer of
+    /// [`CompareOp::eval`].
+    pub(crate) fn test(&mut self, cell: &Value) -> bool {
+        match &mut self.like {
+            Some(like) => like.matches_value(cell),
+            None => self.predicate.op.eval(cell, &self.predicate.value),
         }
     }
 }
@@ -191,6 +219,61 @@ mod tests {
         let txt = Value::text("Data Integration");
         assert!(CompareOp::Like.eval(&txt, &Value::text("%integr%")));
         assert!(!CompareOp::Like.eval(&txt, &Value::text("integr")));
+    }
+
+    #[test]
+    fn prepared_like_agrees_with_eval() {
+        let cells = [
+            Value::text("ΟΔΟΣ"),
+            Value::text("οδος"),
+            Value::text("Silver Metallic"),
+            Value::text("né"),
+            Value::text(""),
+            Value::Int(2024),
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::Float(2.0),
+            Value::Null,
+        ];
+        let patterns = [
+            Value::text("%ς"),
+            Value::text("%σ"),
+            Value::text("%Σ"),
+            Value::text("ΟΔΟΣ"),
+            Value::text("%silver%"),
+            Value::text("n_"),
+            Value::text("_"),
+            Value::text("20%"),
+            Value::text("2._"),
+            Value::text("-_"),
+            Value::Int(2),
+            Value::Null,
+        ];
+        for pattern in &patterns {
+            let p = Predicate::new("a", CompareOp::Like, pattern.clone());
+            let mut test = p.prepare();
+            for cell in &cells {
+                assert_eq!(
+                    test.test(cell),
+                    CompareOp::Like.eval(cell, pattern),
+                    "{cell:?} LIKE {pattern:?}"
+                );
+            }
+        }
+        let like = |cell: Value, pattern: Value| {
+            Predicate::new("a", CompareOp::Like, pattern)
+                .prepare()
+                .test(&cell)
+        };
+        // `str::to_lowercase` turns a word-final Σ into ς.
+        assert!(like(Value::text("ΟΔΟΣ"), Value::text("%ς")));
+        assert!(!like(Value::text("ΟΔΟΣ"), Value::text("οδοσ")));
+        assert!(like(Value::text("né"), Value::text("n_")));
+        assert!(!like(Value::text(""), Value::text("_")));
+        assert!(like(Value::Int(2024), Value::text("20%")));
+        assert!(like(Value::Float(2.5), Value::text("2._")));
+        assert!(like(Value::Float(2.0), Value::Int(2)));
+        assert!(!like(Value::text("ΟΔΟΣ"), Value::Null));
     }
 
     #[test]

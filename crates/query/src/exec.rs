@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use udi_store::{Row, Table, Value};
 
-use crate::ast::Query;
+use crate::ast::{Predicate, PredicateTest, Query};
 
 /// An attribute binding: query attribute name → source attribute name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -103,12 +103,14 @@ pub fn execute_with_binding_indexed(
     let select_slices: Vec<&[Value]> = select_cols.iter().map(|&c| column(c)).collect();
 
     let mut out = Vec::new();
+    let mut tests: Vec<PredicateTest<'_>> =
+        query.predicates.iter().map(Predicate::prepare).collect();
     'rows: for ri in 0..table.row_count() {
-        for (p, col) in query.predicates.iter().zip(&pred_slices) {
+        for (test, col) in tests.iter_mut().zip(&pred_slices) {
             // Checked access: a short column (impossible for a well-formed
             // table) reads as no-match instead of panicking.
             let Some(v) = col.get(ri) else { continue 'rows };
-            if !p.op.eval(v, &p.value) {
+            if !test.test(v) {
                 continue 'rows;
             }
         }

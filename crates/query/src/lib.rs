@@ -43,9 +43,10 @@ pub mod answer;
 pub mod ast;
 pub mod exec;
 pub mod parse;
+mod rows;
 
 pub use aggregate::{execute_aggregate_with_binding, AggFunc, Aggregate, AggregateQuery};
-pub use answer::{AnswerSet, AnswerTuple, SourceAccumulator};
+pub use answer::{AnswerSet, AnswerTuple, SourceAccumulator, TupleAccumulator};
 pub use ast::{CompareOp, Predicate, Query};
 pub use exec::{execute_with_binding, execute_with_binding_indexed, Binding};
 pub use parse::{parse_aggregate_query, parse_query, ParseError};

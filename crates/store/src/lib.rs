@@ -44,7 +44,7 @@ pub use csv::CsvError;
 pub use keyword::{KeywordIndex, RowRef};
 pub use shard::Shard;
 pub use table::{Row, Table};
-pub use value::{like_match, Value};
+pub use value::{like_match, LikePattern, Value};
 
 /// Errors produced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

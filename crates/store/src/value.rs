@@ -232,9 +232,63 @@ impl From<f64> for Value {
 /// assert!(!like_match("cart", "c_t"));
 /// ```
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.to_lowercase().chars().collect();
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    like_greedy(&t, &p)
+    LikePattern::new(pattern).matches(text)
+}
+
+/// A `LIKE` pattern compiled for a scan: the pattern is lowercased once,
+/// and each cell is lowercased into buffers reused from row to row.
+///
+/// ASCII text is lowercased byte by byte. Any other text goes through
+/// `str::to_lowercase`, whose context rules (a final `Σ` becomes `ς`) a
+/// per-character mapping would miss, so results match [`like_match`]
+/// exactly.
+#[derive(Debug, Clone)]
+pub struct LikePattern {
+    pattern: Vec<char>,
+    /// The lowercased characters of the cell being matched.
+    text: Vec<char>,
+    /// A numeric cell rendered as text.
+    rendered: String,
+}
+
+impl LikePattern {
+    /// Compile `pattern`.
+    pub fn new(pattern: &str) -> LikePattern {
+        LikePattern {
+            pattern: pattern.to_lowercase().chars().collect(),
+            text: Vec::new(),
+            rendered: String::new(),
+        }
+    }
+
+    /// Whether `text` matches the pattern, case-insensitively.
+    pub fn matches(&mut self, text: &str) -> bool {
+        self.text.clear();
+        if text.is_ascii() {
+            self.text
+                .extend(text.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+        } else {
+            self.text.extend(text.to_lowercase().chars());
+        }
+        like_greedy(&self.text, &self.pattern)
+    }
+
+    /// Whether a cell matches: NULL never does, and a number matches as
+    /// its display text.
+    pub fn matches_value(&mut self, cell: &Value) -> bool {
+        use std::fmt::Write;
+        match cell {
+            Value::Null => false,
+            Value::Text(s) => self.matches(s),
+            number => {
+                let mut rendered = std::mem::take(&mut self.rendered);
+                rendered.clear();
+                let hit = write!(rendered, "{number}").is_ok() && self.matches(&rendered);
+                self.rendered = rendered;
+                hit
+            }
+        }
+    }
 }
 
 /// Iterative greedy two-pointer wildcard matcher. Each `%` initially
