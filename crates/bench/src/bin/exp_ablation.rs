@@ -91,7 +91,7 @@ fn uniform_pmapping(
         .iter()
         .map(|m| {
             (
-                Mapping::one_to_one(
+                Mapping::new(
                     m.iter()
                         .map(|&c| (source.attrs[list[c].source], list[c].target)),
                 ),

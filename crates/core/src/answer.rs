@@ -640,7 +640,7 @@ mod tests {
         let c3 = |a: AttrId| m3.cluster_of(a).unwrap();
         let pm_s1_m3 = PMapping::new(vec![
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c3(name)),
                     (h_p, c3(phone)),
                     (o_p, c3(o_p)),
@@ -650,7 +650,7 @@ mod tests {
                 0.64,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c3(name)),
                     (h_p, c3(phone)),
                     (o_p, c3(o_p)),
@@ -660,7 +660,7 @@ mod tests {
                 0.16,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c3(name)),
                     (o_p, c3(phone)),
                     (h_p, c3(o_p)),
@@ -670,7 +670,7 @@ mod tests {
                 0.16,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c3(name)),
                     (o_p, c3(phone)),
                     (h_p, c3(o_p)),
@@ -684,7 +684,7 @@ mod tests {
         let c4 = |a: AttrId| m4.cluster_of(a).unwrap();
         let pm_s1_m4 = PMapping::new(vec![
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c4(name)),
                     (o_p, c4(phone)),
                     (h_p, c4(h_p)),
@@ -694,7 +694,7 @@ mod tests {
                 0.64,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c4(name)),
                     (o_p, c4(phone)),
                     (h_p, c4(h_p)),
@@ -704,7 +704,7 @@ mod tests {
                 0.16,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c4(name)),
                     (h_p, c4(phone)),
                     (o_p, c4(h_p)),
@@ -714,7 +714,7 @@ mod tests {
                 0.16,
             ),
             (
-                Mapping::one_to_one([
+                Mapping::new([
                     (name, c4(name)),
                     (h_p, c4(phone)),
                     (o_p, c4(h_p)),
@@ -726,7 +726,7 @@ mod tests {
         ]);
         // S2 maps identically under both schemas.
         let id_mapping = |med: &udi_schema::MediatedSchema| {
-            Mapping::one_to_one([
+            Mapping::new([
                 (name, med.cluster_of(name).unwrap()),
                 (phone, med.cluster_of(phone).unwrap()),
                 (addr, med.cluster_of(addr).unwrap()),
@@ -911,8 +911,8 @@ mod tests {
         let pmed = PMedSchema::new(vec![(med, 1.0)]);
         // Mapping A: a→{a} (query attr a reads column a); mapping B: b→{a}.
         let pm = PMapping::new(vec![
-            (Mapping::one_to_one([(a, 0)]), 0.6),
-            (Mapping::one_to_one([(b, 0)]), 0.4),
+            (Mapping::new([(a, 0)]), 0.6),
+            (Mapping::new([(b, 0)]), 0.4),
         ]);
         let udi = UdiSystem::from_parts(catalog, pmed, vec![vec![pm]]).unwrap();
         let q = parse_query("SELECT a FROM S").unwrap();

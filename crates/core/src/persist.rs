@@ -455,7 +455,7 @@ fn mapping_from_json(value: &Json, width: usize, n_attrs: usize) -> Result<Mappi
     let Json::Obj(assignments) = field(value, "assignments")? else {
         return Err(PersistError::Shape("assignments"));
     };
-    let mut mapping = Mapping::empty();
+    let mut pairs = Vec::new();
     for (a, targets) in assignments {
         let a = attr_id(a.parse().ok(), n_attrs, "assignments")?;
         for j in array(targets, "assignments")? {
@@ -463,10 +463,10 @@ fn mapping_from_json(value: &Json, width: usize, n_attrs: usize) -> Result<Mappi
             if j >= width {
                 return Err(PersistError::Shape("assignments"));
             }
-            mapping.try_insert(a, j).map_err(PersistError::Model)?;
+            pairs.push((a, j));
         }
     }
-    Ok(mapping)
+    Mapping::try_new(pairs).map_err(PersistError::Model)
 }
 
 fn feedback_from_json(value: &Json) -> Result<Feedback, PersistError> {

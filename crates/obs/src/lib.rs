@@ -61,6 +61,6 @@ pub use clock::Stopwatch;
 pub use event::{Event, EventKind, Field};
 pub use hist::Histogram;
 pub use recorder::{Recorder, Span};
-pub use rss::{fmt_rss, peak_rss_bytes};
+pub use rss::{fmt_rss, peak_rss_bytes, resident_rss_bytes};
 pub use sink::{CounterSink, FanoutSink, JsonLinesSink, MemorySink, NullSink, Sink, SpanRecord};
 pub use summary::TraceSummary;

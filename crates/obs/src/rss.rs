@@ -1,34 +1,48 @@
-//! Peak resident-set-size introspection.
+//! Resident-set-size introspection: the peak and the current figure.
 //!
 //! The scale benchmarks report memory alongside wall-clock: a setup path
 //! that is fast because it materialized the whole corpus twice is not a
 //! win. On Linux the kernel already tracks the high-water mark (`VmHWM` in
-//! `/proc/self/status`), so the reader is a dozen lines of text parsing
-//! with zero dependencies; elsewhere it degrades to `None` and callers
-//! print `n/a`.
+//! `/proc/self/status`) and the current figure (`VmRSS`), so the reader is
+//! a dozen lines of text parsing with zero dependencies; elsewhere it
+//! degrades to `None` and callers print `n/a`.
 
 /// The process's peak resident set size in bytes, if the platform exposes
 /// it. Linux only (`/proc/self/status`, `VmHWM` line); `None` elsewhere or
 /// if the file is missing/unparseable.
 pub fn peak_rss_bytes() -> Option<u64> {
+    status_field("VmHWM:")
+}
+
+/// The process's current resident set size in bytes (`VmRSS`), if the
+/// platform exposes it — what a process holds at rest, where
+/// [`peak_rss_bytes`] is the lifetime high-water mark. `None` off Linux or
+/// if the file is missing/unparseable.
+pub fn resident_rss_bytes() -> Option<u64> {
+    status_field("VmRSS:")
+}
+
+/// One kibibyte field of `/proc/self/status`, in bytes.
+fn status_field(key: &str) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        parse_vm_hwm(&status)
+        parse_status_kib(&status, key)
     }
     #[cfg(not(target_os = "linux"))]
     {
+        let _ = key;
         None
     }
 }
 
-/// Parse the `VmHWM` line of a `/proc/<pid>/status` document into bytes.
-/// The kernel reports kibibytes (`VmHWM:   123456 kB`).
+/// Parse the `key` line (`VmHWM:`, `VmRSS:`) of a `/proc/<pid>/status`
+/// document into bytes. The kernel reports kibibytes (`VmHWM:   123456 kB`).
 #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-fn parse_vm_hwm(status: &str) -> Option<u64> {
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+fn parse_status_kib(status: &str, key: &str) -> Option<u64> {
+    let line = status.lines().find(|l| l.starts_with(key))?;
     let kib: u64 = line
-        .trim_start_matches("VmHWM:")
+        .trim_start_matches(key)
         .trim()
         .trim_end_matches("kB")
         .trim()
@@ -52,17 +66,25 @@ pub fn fmt_rss(bytes: Option<u64>) -> String {
 mod tests {
     use super::*;
 
+    const DOC: &str = "Name:\tudi\nVmPeak:\t  999 kB\nVmHWM:\t   12345 kB\nVmRSS:\t 100 kB\n";
+
     #[test]
     fn parses_the_kernel_format() {
-        let doc = "Name:\tudi\nVmPeak:\t  999 kB\nVmHWM:\t   12345 kB\nVmRSS:\t 100 kB\n";
-        assert_eq!(parse_vm_hwm(doc), Some(12345 * 1024));
+        assert_eq!(parse_status_kib(DOC, "VmHWM:"), Some(12345 * 1024));
+    }
+
+    #[test]
+    fn parses_the_resident_line() {
+        assert_eq!(parse_status_kib(DOC, "VmRSS:"), Some(100 * 1024));
+        // `VmRSS` is not read off the neighbouring lines.
+        assert_eq!(parse_status_kib("VmHWM:\t 7 kB\n", "VmRSS:"), None);
     }
 
     #[test]
     fn missing_or_malformed_lines_yield_none() {
-        assert_eq!(parse_vm_hwm(""), None);
-        assert_eq!(parse_vm_hwm("VmRSS:\t 100 kB\n"), None);
-        assert_eq!(parse_vm_hwm("VmHWM:\t lots kB\n"), None);
+        assert_eq!(parse_status_kib("", "VmHWM:"), None);
+        assert_eq!(parse_status_kib("VmRSS:\t 100 kB\n", "VmHWM:"), None);
+        assert_eq!(parse_status_kib("VmHWM:\t lots kB\n", "VmHWM:"), None);
     }
 
     #[test]
@@ -81,5 +103,10 @@ mod tests {
         // less than a tebibyte.
         assert!(rss > 1 << 20, "{rss}");
         assert!(rss < 1 << 40, "{rss}");
+        // Not compared with the peak: other test threads allocate between
+        // the two reads.
+        let resident = resident_rss_bytes().expect("Linux exposes VmRSS");
+        assert!(resident > 1 << 20, "{resident}");
+        assert!(resident < 1 << 40, "{resident}");
     }
 }

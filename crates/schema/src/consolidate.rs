@@ -99,19 +99,12 @@ impl<'a> Consolidator<'a> {
         );
         let mut merged: BTreeMap<Mapping, f64> = BTreeMap::new();
         for (i, ((_, p_schema), pm)) in self.pmed.schemas().iter().zip(pmappings).enumerate() {
+            let refinement = self.refinements.get(i).map(Vec::as_slice).unwrap_or(&[]);
             for (m, p_map) in pm.mappings() {
-                let mut rewritten = Mapping::empty();
-                for (a, big_idx) in m.correspondences() {
-                    let refined = self
-                        .refinements
-                        .get(i)
-                        .and_then(|r| r.get(big_idx))
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]);
-                    for &j in refined {
-                        rewritten.insert(a, j);
-                    }
-                }
+                let rewritten = Mapping::new(m.correspondences().flat_map(|(a, big_idx)| {
+                    let refined = refinement.get(big_idx).map(Vec::as_slice).unwrap_or(&[]);
+                    refined.iter().map(move |&j| (a, j))
+                }));
                 *merged.entry(rewritten).or_insert(0.0) += p_map * p_schema;
             }
         }
@@ -183,18 +176,16 @@ mod tests {
 
         // Source attr a9 maps to the big cluster under M1, to cluster {a0}
         // under M2.
-        let pm1 = PMapping::new(vec![(Mapping::one_to_one([(AttrId(9), 0)]), 1.0)]);
-        let pm2 = PMapping::new(vec![(Mapping::one_to_one([(AttrId(9), 0)]), 1.0)]);
+        let pm1 = PMapping::new(vec![(Mapping::new([(AttrId(9), 0)]), 1.0)]);
+        let pm2 = PMapping::new(vec![(Mapping::new([(AttrId(9), 0)]), 1.0)]);
         let pm = consolidate_pmappings(&pmed, &[pm1, pm2], &t);
 
         // Under M1, (a9 → {a0,a1}) rewrites to {(a9→T0), (a9→T1)} with
         // probability 0.6; under M2, (a9 → {a0}) rewrites to {(a9→T0)} with
         // probability 0.4.
         assert_eq!(pm.len(), 2);
-        let mut both = Mapping::empty();
-        both.insert(AttrId(9), 0);
-        both.insert(AttrId(9), 1);
-        let single = Mapping::one_to_one([(AttrId(9), 0)]);
+        let both = Mapping::new([(AttrId(9), 0), (AttrId(9), 1)]);
+        let single = Mapping::new([(AttrId(9), 0)]);
         let p_both = pm.mappings().iter().find(|(m, _)| m == &both).unwrap().1;
         let p_single = pm.mappings().iter().find(|(m, _)| m == &single).unwrap().1;
         assert!((p_both - 0.6).abs() < 1e-12);
@@ -209,7 +200,7 @@ mod tests {
         let pmed = PMedSchema::new(vec![(m.clone(), 1.0)]);
         let t = consolidate_schemas(&[m]);
         let inner = PMapping::new(vec![
-            (Mapping::one_to_one([(AttrId(9), 0)]), 0.7),
+            (Mapping::new([(AttrId(9), 0)]), 0.7),
             (Mapping::empty(), 0.3),
         ]);
         let pm = consolidate_pmappings(&pmed, &[inner], &t);

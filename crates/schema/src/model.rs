@@ -1,7 +1,8 @@
 //! Core model types: vocabulary, source schemas, mediated schemas,
 //! p-med-schemas, mappings and p-mappings.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Identifier of a distinct attribute *name* across all sources.
@@ -198,7 +199,7 @@ impl SchemaSet {
 /// A deterministic mediated schema: a partition of (a subset of) the
 /// attribute universe into disjoint clusters. Each cluster is one *mediated
 /// attribute*.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MediatedSchema {
     clusters: Vec<BTreeSet<AttrId>>,
 }
@@ -226,6 +227,8 @@ pub enum ModelError {
     /// A mediated attribute that already corresponds to another source
     /// attribute.
     MediatedAttributeTaken(usize),
+    /// A mediated attribute index beyond `u32`, the width mappings store.
+    MediatedIndexTooLarge(usize),
 }
 
 impl fmt::Display for ModelError {
@@ -244,6 +247,9 @@ impl fmt::Display for ModelError {
                 f,
                 "mediated attribute {j} already corresponds to a different source attribute"
             ),
+            ModelError::MediatedIndexTooLarge(j) => {
+                write!(f, "mediated attribute index {j} does not fit in u32")
+            }
         }
     }
 }
@@ -252,8 +258,11 @@ impl std::error::Error for ModelError {}
 
 /// Checks Definition 3.1/3.2's side conditions on a probability
 /// distribution over distinct alternatives: non-empty, every probability in
-/// `(0, 1]`, total 1 (±1e-6), no alternative listed twice.
-fn check_distribution<T: PartialEq>(
+/// `(0, 1]`, total 1 (±1e-6), no alternative listed twice. Of the
+/// per-item failures the earliest item's wins, a range error over a
+/// repeat of the same item. Repeats are found by sorting references, so the
+/// check is O(n log n).
+fn check_distribution<T: Ord>(
     items: &[(T, f64)],
     empty: ModelError,
     duplicate: ModelError,
@@ -267,19 +276,26 @@ fn check_distribution<T: PartialEq>(
     if !sums_to_one {
         return Err(ModelError::ProbabilitySum(total));
     }
-    for (i, (m, p)) in items.iter().enumerate() {
-        let in_range = *p > 0.0 && *p <= 1.0 + 1e-9;
-        if !in_range {
-            return Err(ModelError::ProbabilityOutOfRange(*p));
+    let in_range = |p: f64| p > 0.0 && p <= 1.0 + 1e-9;
+    let out_of_range = items.iter().enumerate().find(|(_, (_, p))| !in_range(*p));
+    // Sorted by (item, position), every entry equal to its predecessor
+    // repeats an earlier item; the earliest such position fails first.
+    let mut sorted: Vec<(&T, usize)> = items.iter().map(|(m, _)| m).zip(0..).collect();
+    sorted.sort_unstable();
+    let next = sorted.iter().skip(1);
+    let repeat = sorted
+        .iter()
+        .zip(next)
+        .filter(|(x, y)| x.0 == y.0)
+        .map(|(_, y)| y.1)
+        .min();
+    match (out_of_range, repeat) {
+        (Some((i, (_, p))), r) if r.is_none_or(|r| i <= r) => {
+            Err(ModelError::ProbabilityOutOfRange(*p))
         }
-        if items
-            .get(..i)
-            .is_some_and(|head| head.iter().any(|(m2, _)| m2 == m))
-        {
-            return Err(duplicate);
-        }
+        (_, Some(_)) => Err(duplicate),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 impl MediatedSchema {
@@ -431,85 +447,155 @@ impl PMedSchema {
 /// mediated schema: each source attribute maps to a set of mediated
 /// attributes (cluster indices); each mediated attribute corresponds to at
 /// most one source attribute.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Stored flat: one sorted, repeat-free slice of `(source attribute,
+/// mediated index)` pairs — a 16-byte handle and one allocation. The
+/// order ([`Ord`]) is the one the tree form `BTreeMap<AttrId,
+/// BTreeSet<usize>>` had, which consolidation's merge order, and through it
+/// every probability fold, depends on (DESIGN.md §15).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
-    assignments: BTreeMap<AttrId, BTreeSet<usize>>,
+    /// Sorted by attribute, then mediated index; no pair repeats and no
+    /// mediated index appears twice.
+    pairs: Box<[(AttrId, u32)]>,
 }
 
 impl Mapping {
     /// The empty mapping.
     pub fn empty() -> Mapping {
         Mapping {
-            assignments: BTreeMap::new(),
+            pairs: Box::default(),
         }
     }
 
-    /// One-to-one mapping from `(source attr, mediated index)` pairs.
-    /// Panics if a source attribute or mediated index repeats.
-    pub fn one_to_one<I>(pairs: I) -> Mapping
+    /// Build from `(source attr, mediated index)` pairs in any order; the
+    /// result holds one allocation. A repeated pair counts once; a source
+    /// attribute may repeat with different indices (one-to-many). Panics if a mediated
+    /// index has two source attributes or does not fit in `u32` — use
+    /// [`Mapping::try_new`] for fallible construction.
+    pub fn new<I>(pairs: I) -> Mapping
     where
         I: IntoIterator<Item = (AttrId, usize)>,
     {
-        let mut m = Mapping::empty();
-        for (a, j) in pairs {
-            m.insert(a, j);
+        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible constructor variant; try_new is the fallible one")
+        Mapping::try_new(pairs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Mapping::new`], returning the broken invariant instead of
+    /// panicking: [`ModelError::MediatedAttributeTaken`] for a mediated
+    /// index with two source attributes, [`ModelError::MediatedIndexTooLarge`]
+    /// for one beyond `u32`.
+    pub fn try_new<I>(pairs: I) -> Result<Mapping, ModelError>
+    where
+        I: IntoIterator<Item = (AttrId, usize)>,
+    {
+        let mut pairs = pairs
+            .into_iter()
+            .map(|(a, j)| match u32::try_from(j) {
+                Ok(j) => Ok((a, j)),
+                Err(_) => Err(ModelError::MediatedIndexTooLarge(j)),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        pairs.sort_unstable();
+        pairs.dedup();
+        if let Some(j) = repeated_target(&pairs) {
+            return Err(ModelError::MediatedAttributeTaken(j as usize));
         }
-        m
+        Ok(Mapping {
+            pairs: pairs.into_boxed_slice(),
+        })
     }
 
-    /// Add a correspondence `(a → j)`, preserving the invariant that a
-    /// mediated attribute has at most one source attribute. Panics if `j`
-    /// already has another source attribute — use [`Mapping::try_insert`]
-    /// for fallible construction.
-    pub fn insert(&mut self, a: AttrId, j: usize) {
-        // udi-audit: allow(no-panic-in-lib, "documented panic: the infallible variant; try_insert is the fallible one")
-        self.try_insert(a, j).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Mapping::insert`], rejecting a second source attribute for `j`.
-    /// The mapping is unchanged on error.
-    pub fn try_insert(&mut self, a: AttrId, j: usize) -> Result<(), ModelError> {
-        if self.source_of(j).is_some_and(|s| s != a) {
-            return Err(ModelError::MediatedAttributeTaken(j));
-        }
-        self.assignments.entry(a).or_default().insert(j);
-        Ok(())
-    }
-
-    /// The mediated attributes `a` maps to.
-    pub fn targets_of(&self, a: AttrId) -> Option<&BTreeSet<usize>> {
-        self.assignments.get(&a)
+    /// The mediated attributes `a` maps to, ascending (none if `a` is
+    /// unmapped).
+    pub fn targets_of(&self, a: AttrId) -> impl Iterator<Item = usize> + '_ {
+        let from = self.pairs.partition_point(|&(b, _)| b < a);
+        self.pairs
+            .get(from..)
+            .unwrap_or_default()
+            .iter()
+            .take_while(move |&&(b, _)| b == a)
+            .map(|&(_, j)| j as usize)
     }
 
     /// The unique source attribute corresponding to mediated attribute `j`.
     pub fn source_of(&self, j: usize) -> Option<AttrId> {
-        self.assignments
-            .iter()
-            .find(|(_, targets)| targets.contains(&j))
-            .map(|(&a, _)| a)
+        let j = u32::try_from(j).ok()?;
+        self.pairs.iter().find(|&&(_, t)| t == j).map(|&(a, _)| a)
     }
 
-    /// Iterate `(source attr, mediated index)` correspondences.
+    /// Iterate `(source attr, mediated index)` correspondences, by
+    /// attribute and then index.
     pub fn correspondences(&self) -> impl Iterator<Item = (AttrId, usize)> + '_ {
-        self.assignments
-            .iter()
-            .flat_map(|(&a, ts)| ts.iter().map(move |&j| (a, j)))
+        self.pairs.iter().map(|&(a, j)| (a, j as usize))
     }
 
     /// Number of correspondences.
     pub fn len(&self) -> usize {
-        self.assignments.values().map(BTreeSet::len).sum()
+        self.pairs.len()
     }
 
     /// Whether this is the empty mapping.
     pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Whether every source attribute maps to exactly one mediated
     /// attribute (Definition 3.2's one-to-one case).
     pub fn is_one_to_one(&self) -> bool {
-        self.assignments.values().all(|ts| ts.len() == 1)
+        let next = self.pairs.iter().skip(1);
+        self.pairs.iter().zip(next).all(|(x, y)| x.0 != y.0)
+    }
+}
+
+/// A mediated index that two pairs of a sorted, repeat-free pair list
+/// share, if any.
+fn repeated_target(pairs: &[(AttrId, u32)]) -> Option<u32> {
+    let mut targets: Vec<u32> = pairs.iter().map(|&(_, j)| j).collect();
+    targets.sort_unstable();
+    let next = targets.iter().skip(1);
+    targets
+        .iter()
+        .zip(next)
+        .find(|(x, y)| x == y)
+        .map(|(&j, _)| j)
+}
+
+impl Ord for Mapping {
+    /// The tree form's order: attribute groups `(a, targets of a)` compared
+    /// one after another, targets as ascending lists, fewer groups first
+    /// when one list of groups is a prefix of the other. A plain
+    /// lexicographic order over the pairs differs where one mapping's group
+    /// goes on and the other's ends: `{1→{2,5}}` vs `{1→{2}, 3→{0}}`
+    /// compares `(1,5)` with `(3,0)` pairwise, but `{2,5}` with `{2}` —
+    /// the larger set — group-wise.
+    fn cmp(&self, other: &Mapping) -> Ordering {
+        let (x, y) = (&*self.pairs, &*other.pairs);
+        let shared = x.iter().zip(y).take_while(|(p, q)| p == q).count();
+        match (x.get(shared), y.get(shared)) {
+            (Some(&(a, i)), Some(&(b, j))) if a == b => i.cmp(&j),
+            (Some(&(a, _)), Some(&(b, _))) => {
+                // The group in progress at the first difference, if any:
+                // the mapping that continues it has the longer target list.
+                let open = shared.checked_sub(1).and_then(|k| x.get(k)).map(|p| p.0);
+                if open == Some(a) {
+                    Ordering::Greater
+                } else if open == Some(b) {
+                    Ordering::Less
+                } else {
+                    a.cmp(&b)
+                }
+            }
+            // A mapping that ends first has a shorter target list or fewer
+            // groups.
+            (p, q) => p.is_some().cmp(&q.is_some()),
+        }
+    }
+}
+
+impl PartialOrd for Mapping {
+    fn partial_cmp(&self, other: &Mapping) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -682,26 +768,18 @@ mod tests {
 
     #[test]
     fn mapping_one_to_one_and_inverse() {
-        let m = Mapping::one_to_one([(AttrId(5), 0), (AttrId(7), 2)]);
+        let m = Mapping::new([(AttrId(5), 0), (AttrId(7), 2)]);
         assert!(m.is_one_to_one());
         assert_eq!(m.source_of(0), Some(AttrId(5)));
         assert_eq!(m.source_of(1), None);
-        assert_eq!(
-            m.targets_of(AttrId(7))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![2]
-        );
+        assert_eq!(m.targets_of(AttrId(7)).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(m.targets_of(AttrId(6)).count(), 0);
         assert_eq!(m.len(), 2);
     }
 
     #[test]
     fn mapping_one_to_many() {
-        let mut m = Mapping::empty();
-        m.insert(AttrId(1), 0);
-        m.insert(AttrId(1), 3);
+        let m = Mapping::new([(AttrId(1), 3), (AttrId(1), 0), (AttrId(1), 3)]);
         assert!(!m.is_one_to_one());
         assert_eq!(m.len(), 2);
         let cs: Vec<(AttrId, usize)> = m.correspondences().collect();
@@ -711,14 +789,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "already corresponds")]
     fn mapping_rejects_two_sources_for_one_mediated() {
-        let mut m = Mapping::empty();
-        m.insert(AttrId(1), 0);
-        m.insert(AttrId(2), 0);
+        Mapping::new([(AttrId(1), 0), (AttrId(2), 0)]);
     }
 
     #[test]
     fn pmapping_top_mapping() {
-        let a = Mapping::one_to_one([(AttrId(0), 0)]);
+        let a = Mapping::new([(AttrId(0), 0)]);
         let b = Mapping::empty();
         let pm = PMapping::new(vec![(a.clone(), 0.4), (b, 0.6)]);
         assert_eq!(pm.top_mapping(), &Mapping::empty());
@@ -744,14 +820,17 @@ mod tests {
         assert!(matches!(nan, Some(ModelError::ProbabilitySum(t)) if t.is_nan()));
         let pairs = vec![
             (Mapping::empty(), 1.5),
-            (Mapping::one_to_one([(AttrId(0), 0)]), -0.5),
+            (Mapping::new([(AttrId(0), 0)]), -0.5),
         ];
         let range = PMapping::try_new(pairs).err();
         assert_eq!(range, Some(ModelError::ProbabilityOutOfRange(1.5)));
-        let mut m = Mapping::one_to_one([(AttrId(1), 0)]);
-        let taken = m.try_insert(AttrId(2), 0);
-        assert_eq!(taken, Err(ModelError::MediatedAttributeTaken(0)));
-        assert_eq!(m, Mapping::one_to_one([(AttrId(1), 0)]), "unchanged");
+        let taken = Mapping::try_new([(AttrId(1), 0), (AttrId(2), 0)]).err();
+        assert_eq!(taken, Some(ModelError::MediatedAttributeTaken(0)));
+        // Indices are stored as u32: a wider one is refused, not truncated.
+        if let Ok(wide) = usize::try_from(u64::from(u32::MAX) + 1) {
+            let err = Mapping::try_new([(AttrId(0), wide)]).err();
+            assert_eq!(err, Some(ModelError::MediatedIndexTooLarge(wide)));
+        }
     }
 
     #[test]

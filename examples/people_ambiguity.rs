@@ -56,7 +56,7 @@ fn main() {
     // 0.8/0.2 choices (which phone and which address fill the shared
     // clusters).
     let mapping = |med: &MediatedSchema, pairs: &[(AttrId, AttrId)]| {
-        Mapping::one_to_one(
+        Mapping::new(
             pairs
                 .iter()
                 .map(|&(src, clusterer)| (src, med.cluster_of(clusterer).unwrap())),
@@ -123,7 +123,7 @@ fn main() {
     let pm_s1_m4 = pm_s1(&m4, o_p, h_p, o_a, h_a);
 
     let id_mapping = |med: &MediatedSchema| {
-        Mapping::one_to_one([
+        Mapping::new([
             (name, med.cluster_of(name).unwrap()),
             (phone, med.cluster_of(phone).unwrap()),
             (addr, med.cluster_of(addr).unwrap()),

@@ -26,8 +26,8 @@ fn theorem_3_4_subsumption_construction_preserves_answers() {
     let m1 = MediatedSchema::from_slices(&[&[a], &[b]]);
     let m2 = MediatedSchema::from_slices(&[&[a, b]]);
     let pmed = PMedSchema::new(vec![(m1.clone(), 0.7), (m2.clone(), 0.3)]);
-    let pm1 = PMapping::new(vec![(Mapping::one_to_one([(a, 0), (b, 1)]), 1.0)]);
-    let pm2 = PMapping::new(vec![(Mapping::one_to_one([(a, 0)]), 1.0)]);
+    let pm1 = PMapping::new(vec![(Mapping::new([(a, 0), (b, 1)]), 1.0)]);
+    let pm2 = PMapping::new(vec![(Mapping::new([(a, 0)]), 1.0)]);
     let udi = UdiSystem::from_parts(catalog, pmed, vec![vec![pm1, pm2]]).unwrap();
 
     // The consolidated schema is deterministic (the theorem's T)...
@@ -72,8 +72,8 @@ fn theorem_3_5_expressive_power_witness() {
     let m2 = MediatedSchema::from_slices(&[&[a1, a2]]);
     let pmed = PMedSchema::new(vec![(m1, 0.7), (m2, 0.3)]);
     // pM1 maps both attributes; pM2 maps A3 = {a1, a2} to a1.
-    let pm1 = PMapping::new(vec![(Mapping::one_to_one([(a1, 0), (a2, 1)]), 1.0)]);
-    let pm2 = PMapping::new(vec![(Mapping::one_to_one([(a1, 0)]), 1.0)]);
+    let pm1 = PMapping::new(vec![(Mapping::new([(a1, 0), (a2, 1)]), 1.0)]);
+    let pm2 = PMapping::new(vec![(Mapping::new([(a1, 0)]), 1.0)]);
     let udi = UdiSystem::from_parts(catalog, pmed, vec![vec![pm1, pm2]]).unwrap();
 
     // Q1: the pair (x1, x2) is an answer (T with a1,a2 in one cluster
