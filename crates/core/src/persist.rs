@@ -287,7 +287,7 @@ fn cell_to_json(cell: &Value) -> Json {
         Value::Int(i) => object([("Int", Json::Int(*i))]),
         Value::Float(f) if f.is_finite() => object([("Float", Json::Float(*f))]),
         Value::Float(f) => object([("Float", Json::Str(format!("{f:?}")))]),
-        Value::Text(s) => object([("Text", Json::Str(s.clone()))]),
+        Value::Text(s) => object([("Text", Json::Str(s.to_string()))]),
     }
 }
 
@@ -399,7 +399,7 @@ fn cell_from_json(cell: &Json) -> Result<Value, PersistError> {
             .map(Value::Float)
             .map_err(|_| PersistError::Shape("Float")),
         ("Float", v) => number(v, "Float").map(Value::Float),
-        ("Text", Json::Str(s)) => Ok(Value::Text(s.clone())),
+        ("Text", Json::Str(s)) => Ok(Value::text(s.as_str())),
         _ => Err(PersistError::Shape("cell")),
     }
 }
@@ -687,7 +687,7 @@ mod tests {
             Value::Float(f64::NEG_INFINITY),
             Value::Float(-0.0),
             Value::Float(5e-324),
-            Value::Text("tab\t nul\u{0} bell\u{7} quote\" \\ \u{1F600}".to_owned()),
+            Value::text("tab\t nul\u{0} bell\u{7} quote\" \\ \u{1F600}"),
             Value::Int(i64::MIN),
         ];
         let mut t = Table::new("s4", ["a", "b", "c", "d", "e", "f"]);

@@ -186,7 +186,7 @@ pub fn generate_with_concepts(
                         .cloned()
                         .unwrap_or(Value::Null);
                     if as_text {
-                        Value::Text(v.to_string())
+                        Value::text(v.to_string())
                     } else {
                         v
                     }
@@ -392,7 +392,7 @@ mod tests {
         let g = small(Domain::Movie, 12);
         // Count distinct titles across sources; with a 300-entity universe
         // and 12 sources × ≥10 rows there must be collisions.
-        let mut counts: std::collections::HashMap<String, usize> = Default::default();
+        let mut counts: std::collections::HashMap<std::sync::Arc<str>, usize> = Default::default();
         for (sid, t) in g.catalog.iter_sources() {
             let Some(attr) = g.truth.source_attr_for(sid.0 as usize, "movie") else {
                 continue;

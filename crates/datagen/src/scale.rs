@@ -237,7 +237,7 @@ pub fn scale_source(cfg: &ScaleConfig, i: usize) -> Table {
                 if rng.gen_bool(cfg.null_rate) {
                     Value::Null
                 } else if c % 3 == 0 {
-                    Value::Text(format!("{}{}", token(c, 0), rng.gen_range(0..10_000)))
+                    Value::text(format!("{}{}", token(c, 0), rng.gen_range(0..10_000)))
                 } else {
                     Value::Int(rng.gen_range(0..1_000_000))
                 }

@@ -96,7 +96,7 @@ impl ValueKind {
             ValueKind::IntRange { min, max, stringly } => {
                 let v = rng.gen_range(min..=max);
                 if rng.gen_bool(stringly) {
-                    Value::Text(v.to_string())
+                    Value::text(v.to_string())
                 } else {
                     Value::Int(v)
                 }

@@ -193,7 +193,7 @@ fn pick_op(value: &Value, rng: &mut StdRng) -> (CompareOp, Value) {
                 2 => {
                     // LIKE with a word of the value.
                     let words: Vec<&str> = s.split_whitespace().collect();
-                    let w = words.choose(rng).copied().unwrap_or(s.as_str());
+                    let w = words.choose(rng).copied().unwrap_or(s);
                     (CompareOp::Like, Value::text(format!("%{w}%")))
                 }
                 _ => {

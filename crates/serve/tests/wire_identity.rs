@@ -5,8 +5,9 @@
 //! {answers: render_answers(set), path})` and rendering that. These tests
 //! pin the two to the same bytes: a property over generated answer sets
 //! (escapes, control and non-ASCII text, NaN / ±∞ / −0.0 / subnormal
-//! floats, `i64::MIN`, nulls, empty sets, with and without an `id`), and
-//! the dispatchers on every answer path and every error reply.
+//! floats, `i64::MIN`, nulls, empty sets, with and without an `id`), a
+//! second property whose probabilities repeat in runs, and the dispatchers
+//! on every answer path and every error reply.
 
 use std::collections::BTreeMap;
 
@@ -66,24 +67,34 @@ fn value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         prop::sample::select(vec![i64::MIN, i64::MAX, 0, -1]).prop_map(Value::Int),
         float().prop_map(Value::Float),
-        text().prop_map(Value::Text),
+        text().prop_map(Value::text),
     ]
 }
 
-fn tuples() -> impl Strategy<Value = Vec<AnswerTuple>> {
+/// Probabilities from a pool of four, so that equal-bit runs occur within
+/// a source and across a source boundary, and `-0.0` often follows `0.0`
+/// (equal by `==`, rendered differently).
+fn pooled_probability() -> impl Strategy<Value = f64> {
+    prop::sample::select(vec![f64::NAN, -0.0, 0.0, 0.25])
+}
+
+fn tuples(
+    probability: impl Strategy<Value = f64>,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<AnswerTuple>> {
     prop::collection::vec(
-        (float(), prop::collection::vec(value(), 0..4)).prop_map(|(probability, values)| {
+        (probability, prop::collection::vec(value(), 0..4)).prop_map(|(probability, values)| {
             AnswerTuple {
                 values,
                 probability,
             }
         }),
-        0..4,
+        len,
     )
 }
 
-fn answer_set() -> impl Strategy<Value = AnswerSet> {
-    prop::collection::vec((any::<u32>(), tuples()), 0..5).prop_map(|sources| {
+fn answer_set(tuples: impl Strategy<Value = Vec<AnswerTuple>>) -> impl Strategy<Value = AnswerSet> {
+    prop::collection::vec((any::<u32>(), tuples), 0..5).prop_map(|sources| {
         let mut set = AnswerSet::new();
         for (sid, tuples) in sources {
             set.add_source(SourceId(sid), tuples);
@@ -112,7 +123,7 @@ proptest! {
 
     #[test]
     fn streamed_reply_equals_the_json_tree(
-        set in answer_set(),
+        set in answer_set(tuples(float(), 0..4)),
         id in id(),
         generation in generation(),
         path in prop::sample::select(AnswerPath::ALL.to_vec()),
@@ -124,6 +135,19 @@ proptest! {
             streamed.strip_prefix("kept|"),
             Some(oracle(id, generation, path, &set).as_str())
         );
+    }
+
+    /// The renderer reuses the previous tuple's probability text when the
+    /// bits repeat; runs of repeats and `-0.0`/`0.0` neighbours must still
+    /// render as the oracle does.
+    #[test]
+    fn probability_runs_render_like_the_json_tree(
+        set in answer_set(tuples(pooled_probability(), 0..8)),
+        id in id(),
+    ) {
+        let mut streamed = String::new();
+        answer_reply_into(id, 1, AnswerPath::Consolidated, &set, &mut streamed);
+        prop_assert_eq!(streamed, oracle(id, 1, AnswerPath::Consolidated, &set));
     }
 }
 

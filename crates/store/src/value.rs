@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A single cell value.
 ///
@@ -22,13 +23,17 @@ pub enum Value {
     /// 64-bit float. NaN is normalized to [`Value::Null`] at construction
     /// via [`Value::float`]; do not construct `Float(NaN)` directly.
     Float(f64),
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text, shared: cloning a text cell (projection, accumulation,
+    /// `Catalog::clone`) bumps a reference count instead of copying the
+    /// bytes. `Arc`, not `Rc`, because snapshots are read by several
+    /// threads. Equality, ordering and hashing look at the contents only.
+    Text(Arc<str>),
 }
 
 impl Value {
-    /// Build a text value.
-    pub fn text(s: impl Into<String>) -> Value {
+    /// Build a text value. The bytes are copied into their shared
+    /// allocation once, here.
+    pub fn text(s: impl Into<Arc<str>>) -> Value {
         Value::Text(s.into())
     }
 
@@ -82,7 +87,7 @@ impl Value {
         if let Ok(f) = trimmed.parse::<f64>() {
             return Value::float(f);
         }
-        Value::Text(trimmed.to_owned())
+        Value::text(trimmed)
     }
 
     /// Render the value the way it would appear in a result row.
@@ -105,8 +110,8 @@ impl Value {
         match (self, other) {
             (Null, _) | (_, Null) => None,
             (Text(x), Text(y)) => Some(x.cmp(y)),
-            (Text(x), y) => Some(x.cmp(&y.to_string())),
-            (x, Text(y)) => Some(x.to_string().cmp(y)),
+            (Text(x), y) => Some((**x).cmp(y.to_string().as_str())),
+            (x, Text(y)) => Some(x.to_string().as_str().cmp(y)),
             (a, b) => Some(total_cmp(a, b)),
         }
     }
@@ -204,7 +209,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Value {
-        Value::Text(s)
+        Value::text(s)
     }
 }
 
@@ -424,6 +429,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a wall-clock bound; Miri interprets ~100x slower")]
     fn like_pathological_pattern_is_fast() {
         // `%a%a%a%a%b` against 10k 'a's (no 'b' anywhere): the recursive
         // matcher branched at every `%` and effectively never returned;
@@ -451,6 +457,32 @@ mod tests {
         // `_` after `%` must consume exactly one character.
         assert!(like_match("ab", "%_b"));
         assert!(!like_match("b", "%_b"));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        // A tag and a fat `Arc<str>` pointer.
+        assert!(std::mem::size_of::<Value>() <= 24);
+    }
+
+    #[test]
+    fn text_cells_compare_and_hash_by_contents() {
+        let a = Value::text("Civic");
+        let b = Value::from("Civic".to_owned());
+        let Value::Text(x) = &a else { panic!() };
+        let Value::Text(y) = &b else { panic!() };
+        assert!(!Arc::ptr_eq(x, y), "two allocations");
+        assert_eq!(a, b);
+        assert_eq!(h(&a), h(&b));
+        // `str` hashes the same bytes `String` did, so hash-keyed answer
+        // order does not move.
+        let mut s = DefaultHasher::new();
+        s.write_u8(2);
+        "Civic".to_owned().hash(&mut s);
+        assert_eq!(h(&a), s.finish());
+        // A clone shares the bytes.
+        let Value::Text(z) = a.clone() else { panic!() };
+        assert!(Arc::ptr_eq(x, &z));
     }
 
     #[test]

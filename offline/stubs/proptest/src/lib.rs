@@ -75,8 +75,13 @@ pub mod test_runner {
     impl Default for Config {
         fn default() -> Config {
             // The real default is 256; the stub keeps full parity here so
-            // property coverage does not silently shrink offline.
-            Config { cases: 256 }
+            // property coverage does not silently shrink offline. Like the
+            // real crate, `PROPTEST_CASES` overrides it (not `with_cases`).
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(256);
+            Config { cases }
         }
     }
 

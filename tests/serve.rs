@@ -12,10 +12,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use udi::core::{UdiConfig, UdiSystem};
+use udi::core::{Feedback, UdiConfig, UdiSystem};
 use udi::serve::{
     execute_answer, handle, parse_request, AnswerPath, Json, ServeState, Server, ServerConfig,
 };
@@ -131,11 +132,18 @@ fn concurrent_readers_see_whole_generations_only() {
     );
 }
 
-/// A refresh must never block readers: while a mutation rebuilds the
-/// snapshot, concurrent loads keep completing against the old generation.
+/// A refresh must never block readers: while a mutation holds the
+/// tenant's gate and rebuilds off to the side, snapshot loads and renders
+/// keep completing against the old generation. The mutation itself waits
+/// until the reader has made that progress, so the test does not depend on
+/// the reader being scheduled inside a few-millisecond rebuild; a reader
+/// that blocks on the gate fails the test at the deadline instead of
+/// hanging it.
 #[test]
 fn refresh_in_progress_does_not_block_readers() {
-    // A meatier corpus so the rebuild takes long enough to race against.
+    const LOADS: u64 = 256;
+    const DEADLINE: Duration = Duration::from_secs(30);
+
     let mut catalog = Catalog::new();
     for i in 0..10 {
         let mut t = Table::new(format!("s{i}"), ["name", "phone", "address", "year"]);
@@ -155,54 +163,64 @@ fn refresh_in_progress_does_not_block_readers() {
     );
     let tenant = state.tenant("t").unwrap();
 
-    let ready = Arc::new(AtomicBool::new(false));
-    let mutating = Arc::new(AtomicBool::new(false));
+    let began = Arc::new(AtomicBool::new(false));
     let done = Arc::new(AtomicBool::new(false));
-    let reads_during_mutation = Arc::new(AtomicU64::new(0));
+    let loads = Arc::new(AtomicU64::new(0));
+    let renders = Arc::new(AtomicU64::new(0));
 
     let reader = {
         let tenant = tenant.clone();
-        let ready = ready.clone();
-        let mutating = mutating.clone();
+        let began = began.clone();
         let done = done.clone();
-        let reads = reads_during_mutation.clone();
+        let loads = loads.clone();
+        let renders = renders.clone();
         std::thread::spawn(move || {
             let mut i = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                // The invariant under test: loading a snapshot never
-                // blocks, even mid-rebuild. Render only occasionally so
-                // the loop's cadence is dominated by loads.
+            while !done.load(Ordering::Acquire) {
+                // Only work started after the mutation took the gate
+                // counts. Render only occasionally so the loop's cadence
+                // is dominated by loads, the invariant under test.
+                let during = began.load(Ordering::Acquire);
                 let sys = tenant.snapshot();
+                if during {
+                    loads.fetch_add(1, Ordering::Release);
+                }
                 if i.is_multiple_of(64) {
                     assert!(!render_probe(&sys).is_empty());
-                }
-                drop(sys);
-                ready.store(true, Ordering::Relaxed);
-                if mutating.load(Ordering::Relaxed) {
-                    reads.fetch_add(1, Ordering::Relaxed);
+                    if during {
+                        renders.fetch_add(1, Ordering::Release);
+                    }
                 }
                 i += 1;
             }
         })
     };
 
-    while !ready.load(Ordering::Relaxed) {
-        std::thread::yield_now();
-    }
-    mutating.store(true, Ordering::Relaxed);
-    let req = parse_request(
-        r#"{"op":"apply_feedback","tenant":"t","same":[["name","address"]],"different":[["phone","year"]]}"#,
-    )
-    .unwrap();
-    let resp = handle(&state, &req);
-    mutating.store(false, Ordering::Relaxed);
-    done.store(true, Ordering::Relaxed);
+    let mut feedback = Feedback::new();
+    feedback.confirm_same("name", "address");
+    feedback.confirm_different("phone", "year");
+    let published = state.mutate_tenant("t", |sys| {
+        began.store(true, Ordering::Release);
+        let start = Instant::now();
+        while (loads.load(Ordering::Acquire) < LOADS || renders.load(Ordering::Acquire) == 0)
+            && start.elapsed() < DEADLINE
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sys.apply_feedback(&feedback)
+    });
+    done.store(true, Ordering::Release);
     reader.join().unwrap();
 
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+    assert!(matches!(published, Some(Ok(2))), "{published:?}");
+    let (loads, renders) = (
+        loads.load(Ordering::Acquire),
+        renders.load(Ordering::Acquire),
+    );
     assert!(
-        reads_during_mutation.load(Ordering::Relaxed) > 0,
-        "no reads completed while the refresh was rebuilding — readers blocked"
+        loads >= LOADS && renders > 0,
+        "{loads} snapshot loads and {renders} renders completed in {DEADLINE:?} while a \
+         mutation held the gate — readers blocked"
     );
     assert_eq!(
         state
