@@ -9,28 +9,17 @@
 //! udi-obs = 0
 //! udi-core = 4
 //!
-//! [panic-reachability]
-//! crates = ["udi-core"]
-//! index-sites = "off"          # off | warn | error
-//!
 //! [concurrency]
 //! interior-mutable-allowed = ["udi-obs"]
 //!
-//! [determinism]
-//! entry-points = ["udi-core::SetupEngine::refresh"]
-//! exempt-crates = ["udi-obs"]
-//!
 //! [effects]
-//! exempt-crates = ["udi-obs::sink"]   # a crate, or one module of it
+//! panic-free = ["udi-core"]        # every pub lib fn of these crates
+//! deterministic = ["udi-core::SetupEngine::refresh"]
+//! deterministic-exempt = ["udi-obs::clock"]   # a crate, or one module of it
 //! lock-free = ["udi-serve::execute_answer"]
 //! io-free = ["udi-core::UdiSystem::answer"]
 //! spawn-free = ["udi-core::UdiSystem::answer"]
-//!
-//! [lock-order]
-//! exempt-crates = []
-//!
-//! [error-discard]
-//! exempt-crates = []
+//! blocking-exempt = ["udi-obs::sink"]
 //!
 //! [dead-exports]
 //! ratchet = "audit.ratchet"
@@ -42,55 +31,37 @@ use std::path::Path;
 use crate::lints::PANIC_FREE_CRATES;
 use crate::AuditError;
 
-/// How `expr[…]` indexing participates in panic-reachability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Indexing is not a panic source (the default: dense math kernels
-    /// index heavily, and bounds are the paper algorithms' own loop
-    /// invariants).
-    Off,
-    /// Reachable indexing is reported as a warning.
-    Warn,
-    /// Reachable indexing is an error.
-    Error,
-}
-
 /// The parsed layering / pass configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crate → layer number. A crate may depend only on strictly lower
     /// layers. Empty map disables the layering pass.
     pub layers: BTreeMap<String, u32>,
-    /// Crates whose `pub` lib fns must not reach a panic.
-    pub reach_crates: Vec<String>,
-    /// Indexing severity for panic-reachability.
-    pub index_sites: IndexMode,
     /// Crates allowed to hold non-`const` interior-mutable statics.
     pub interior_mutable_allowed: Vec<String>,
-    /// `fn` id-paths (`crate::(Type::)name`) the determinism pass
-    /// certifies transitively. Empty disables the pass.
-    pub determinism_entries: Vec<String>,
-    /// Crates, or `crate::module`s, exempt from determinism sites (the
-    /// timing authority reads the clock by design). See [`is_exempt`].
-    pub determinism_exempt: Vec<String>,
-    /// Crates, or `crate::module`s, exempt from the lock-order pass.
-    pub lock_order_exempt: Vec<String>,
-    /// Crates, or `crate::module`s, exempt from the error-discard pass.
-    pub error_discard_exempt: Vec<String>,
-    /// Crates, or `crate::module`s, whose bodies the effect-inference
-    /// engine treats as effect-free (the obs layer's sink registry locks
-    /// by design).
-    pub effects_exempt: Vec<String>,
+    /// Crates whose `pub` lib fns must certify panic-free.
+    pub panic_free: Vec<String>,
+    /// `fn` id-paths (`crate::(Type::)name`) that must certify free of
+    /// hash-ordered iteration, raw clock reads and environment reads.
+    pub deterministic: Vec<String>,
+    /// Crates, or `crate::module`s, whose sites do not count against the
+    /// `deterministic` budget (the timing authority reads the clock by
+    /// design). See [`is_exempt`].
+    pub deterministic_exempt: Vec<String>,
     /// `fn` id-paths that must certify lock-free.
-    pub effects_lock_free: Vec<String>,
+    pub lock_free: Vec<String>,
     /// `fn` id-paths that must certify free of blocking I/O.
-    pub effects_io_free: Vec<String>,
+    pub io_free: Vec<String>,
     /// `fn` id-paths that must certify spawn-free.
-    pub effects_spawn_free: Vec<String>,
+    pub spawn_free: Vec<String>,
     /// `fn` id-paths that must certify channel-free.
-    pub effects_channel_free: Vec<String>,
+    pub channel_free: Vec<String>,
     /// `fn` id-paths that must certify free of poisoning panics.
-    pub effects_poison_free: Vec<String>,
+    pub poison_free: Vec<String>,
+    /// Crates, or `crate::module`s, whose sites do not count against the
+    /// lock/io/spawn/channel/poison budgets (the obs layer's sink
+    /// registry locks by design).
+    pub blocking_exempt: Vec<String>,
     /// Workspace-relative path of the dead-export ratchet file. `None`
     /// disables the dead-export pass.
     pub ratchet: Option<String>,
@@ -102,26 +73,23 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             layers: BTreeMap::new(),
-            reach_crates: PANIC_FREE_CRATES.iter().map(|s| (*s).to_owned()).collect(),
-            index_sites: IndexMode::Off,
             interior_mutable_allowed: vec!["udi-obs".to_owned()],
-            determinism_entries: Vec::new(),
-            determinism_exempt: vec!["udi-obs".to_owned()],
-            lock_order_exempt: Vec::new(),
-            error_discard_exempt: Vec::new(),
-            effects_exempt: vec!["udi-obs".to_owned()],
-            effects_lock_free: Vec::new(),
-            effects_io_free: Vec::new(),
-            effects_spawn_free: Vec::new(),
-            effects_channel_free: Vec::new(),
-            effects_poison_free: Vec::new(),
+            panic_free: PANIC_FREE_CRATES.iter().map(|s| (*s).to_owned()).collect(),
+            deterministic: Vec::new(),
+            deterministic_exempt: vec!["udi-obs".to_owned()],
+            lock_free: Vec::new(),
+            io_free: Vec::new(),
+            spawn_free: Vec::new(),
+            channel_free: Vec::new(),
+            poison_free: Vec::new(),
+            blocking_exempt: vec!["udi-obs".to_owned()],
             ratchet: None,
             source: None,
         }
     }
 }
 
-/// Whether an `exempt-crates` list covers a fn of `crate_name` defined in
+/// Whether an exemption list covers a fn of `crate_name` defined in
 /// the workspace file `rel`. An entry names a whole crate (`udi-obs`) or
 /// one top-level module of it (`udi-obs::sink`: the file `src/sink.rs` or
 /// the directory `src/sink/`), so a crate whose sanctioned effects live
@@ -195,68 +163,28 @@ pub fn parse_config(text: &str, source: &str) -> Result<Config, (u32, String)> {
                 }
                 cfg.layers.insert(crate_name.to_owned(), layer as u32);
             }
-            ("panic-reachability", "crates") => {
+            ("effects", key) => {
                 let Value::Array(a) = value else {
-                    return Err((ln, "`crates` must be an array of crate names".to_owned()));
+                    return Err((ln, format!("`{key}` must be an array")));
                 };
-                cfg.reach_crates = a;
-            }
-            ("panic-reachability", "index-sites") => {
-                let Value::Str(s) = value else {
-                    return Err((ln, "`index-sites` must be a string".to_owned()));
-                };
-                cfg.index_sites = match s.as_str() {
-                    "off" => IndexMode::Off,
-                    "warn" => IndexMode::Warn,
-                    "error" => IndexMode::Error,
-                    other => {
+                let slot = match key {
+                    "panic-free" => &mut cfg.panic_free,
+                    "deterministic" => &mut cfg.deterministic,
+                    "deterministic-exempt" => &mut cfg.deterministic_exempt,
+                    "lock-free" => &mut cfg.lock_free,
+                    "io-free" => &mut cfg.io_free,
+                    "spawn-free" => &mut cfg.spawn_free,
+                    "channel-free" => &mut cfg.channel_free,
+                    "poison-free" => &mut cfg.poison_free,
+                    "blocking-exempt" => &mut cfg.blocking_exempt,
+                    _ => {
                         return Err((
                             ln,
-                            format!("`index-sites` must be off|warn|error, got `{other}`"),
+                            format!("unknown config key `{key}` in section `[effects]`"),
                         ))
                     }
                 };
-            }
-            ("determinism", "entry-points") => {
-                let Value::Array(a) = value else {
-                    return Err((ln, "`entry-points` must be an array of fn paths".to_owned()));
-                };
-                cfg.determinism_entries = a;
-            }
-            ("determinism", "exempt-crates") => {
-                let Value::Array(a) = value else {
-                    return Err((ln, "`exempt-crates` must be an array".to_owned()));
-                };
-                cfg.determinism_exempt = a;
-            }
-            ("lock-order", "exempt-crates") => {
-                let Value::Array(a) = value else {
-                    return Err((ln, "`exempt-crates` must be an array".to_owned()));
-                };
-                cfg.lock_order_exempt = a;
-            }
-            ("error-discard", "exempt-crates") => {
-                let Value::Array(a) = value else {
-                    return Err((ln, "`exempt-crates` must be an array".to_owned()));
-                };
-                cfg.error_discard_exempt = a;
-            }
-            (
-                "effects",
-                key @ ("exempt-crates" | "lock-free" | "io-free" | "spawn-free" | "channel-free"
-                | "poison-free"),
-            ) => {
-                let Value::Array(a) = value else {
-                    return Err((ln, format!("`{key}` must be an array of fn paths")));
-                };
-                match key {
-                    "exempt-crates" => cfg.effects_exempt = a,
-                    "lock-free" => cfg.effects_lock_free = a,
-                    "io-free" => cfg.effects_io_free = a,
-                    "spawn-free" => cfg.effects_spawn_free = a,
-                    "channel-free" => cfg.effects_channel_free = a,
-                    _ => cfg.effects_poison_free = a,
-                }
+                *slot = a;
             }
             ("concurrency", "interior-mutable-allowed") => {
                 let Value::Array(a) = value else {
@@ -341,30 +269,19 @@ mod tests {
 udi-obs = 0
 udi-core = 4    # serving layer
 
-[panic-reachability]
-crates = ["udi-core", "udi-query"]
-index-sites = "warn"
-
 [concurrency]
 interior-mutable-allowed = ["udi-obs"]
 
-[determinism]
-entry-points = ["udi-core::SetupEngine::refresh", "udi-core::UdiSystem::answer"]
-exempt-crates = ["udi-obs", "udi-bench"]
-
 [effects]
-exempt-crates = ["udi-obs", "udi-z"]
+panic-free = ["udi-core", "udi-query"]
+deterministic = ["udi-core::SetupEngine::refresh", "udi-core::UdiSystem::answer"]
+deterministic-exempt = ["udi-obs", "udi-bench"]
 lock-free = ["udi-serve::execute_answer"]
 io-free = ["udi-core::UdiSystem::answer", "udi-serve::execute_answer"]
 spawn-free = ["udi-core::UdiSystem::answer"]
 channel-free = ["udi-serve::execute_answer"]
 poison-free = ["udi-serve::execute_answer"]
-
-[lock-order]
-exempt-crates = ["udi-x"]
-
-[error-discard]
-exempt-crates = ["udi-y"]
+blocking-exempt = ["udi-obs", "udi-z"]
 
 [dead-exports]
 ratchet = "audit.ratchet"
@@ -372,27 +289,24 @@ ratchet = "audit.ratchet"
         let cfg = parse_config(text, "audit.toml").expect("parses");
         assert_eq!(cfg.layers.get("udi-obs"), Some(&0));
         assert_eq!(cfg.layers.get("udi-core"), Some(&4));
-        assert_eq!(cfg.reach_crates, vec!["udi-core", "udi-query"]);
-        assert_eq!(cfg.index_sites, IndexMode::Warn);
+        assert_eq!(cfg.panic_free, vec!["udi-core", "udi-query"]);
         assert_eq!(
-            cfg.determinism_entries,
+            cfg.deterministic,
             vec![
                 "udi-core::SetupEngine::refresh",
                 "udi-core::UdiSystem::answer"
             ]
         );
-        assert_eq!(cfg.determinism_exempt, vec!["udi-obs", "udi-bench"]);
-        assert_eq!(cfg.lock_order_exempt, vec!["udi-x"]);
-        assert_eq!(cfg.error_discard_exempt, vec!["udi-y"]);
-        assert_eq!(cfg.effects_exempt, vec!["udi-obs", "udi-z"]);
-        assert_eq!(cfg.effects_lock_free, vec!["udi-serve::execute_answer"]);
+        assert_eq!(cfg.deterministic_exempt, vec!["udi-obs", "udi-bench"]);
+        assert_eq!(cfg.blocking_exempt, vec!["udi-obs", "udi-z"]);
+        assert_eq!(cfg.lock_free, vec!["udi-serve::execute_answer"]);
         assert_eq!(
-            cfg.effects_io_free,
+            cfg.io_free,
             vec!["udi-core::UdiSystem::answer", "udi-serve::execute_answer"]
         );
-        assert_eq!(cfg.effects_spawn_free, vec!["udi-core::UdiSystem::answer"]);
-        assert_eq!(cfg.effects_channel_free, vec!["udi-serve::execute_answer"]);
-        assert_eq!(cfg.effects_poison_free, vec!["udi-serve::execute_answer"]);
+        assert_eq!(cfg.spawn_free, vec!["udi-core::UdiSystem::answer"]);
+        assert_eq!(cfg.channel_free, vec!["udi-serve::execute_answer"]);
+        assert_eq!(cfg.poison_free, vec!["udi-serve::execute_answer"]);
         assert_eq!(cfg.ratchet.as_deref(), Some("audit.ratchet"));
     }
 
@@ -400,12 +314,12 @@ ratchet = "audit.ratchet"
     fn defaults_when_sections_absent() {
         let cfg = parse_config("", "audit.toml").expect("parses");
         assert!(cfg.layers.is_empty());
-        assert_eq!(cfg.index_sites, IndexMode::Off);
         assert!(cfg.ratchet.is_none());
-        assert!(!cfg.reach_crates.is_empty());
-        assert_eq!(cfg.effects_exempt, vec!["udi-obs"]);
-        assert!(cfg.effects_lock_free.is_empty());
-        assert!(cfg.effects_io_free.is_empty());
+        assert!(!cfg.panic_free.is_empty());
+        assert_eq!(cfg.blocking_exempt, vec!["udi-obs"]);
+        assert_eq!(cfg.deterministic_exempt, vec!["udi-obs"]);
+        assert!(cfg.lock_free.is_empty());
+        assert!(cfg.io_free.is_empty());
     }
 
     #[test]
@@ -415,6 +329,8 @@ ratchet = "audit.ratchet"
         let err = parse_config("[nope]\nkey = 1\n", "audit.toml").unwrap_err();
         assert_eq!(err.0, 2);
         assert!(err.1.contains("unknown config key"));
+        let err = parse_config("[effects]\nindex-sites = []\n", "audit.toml").unwrap_err();
+        assert!(err.1.contains("unknown config key"), "{}", err.1);
     }
 
     #[test]

@@ -1,27 +1,37 @@
-//! Interprocedural effect inference: which blocking or concurrency
-//! effects can each workspace function perform, transitively?
+//! Interprocedural effect inference: which effects can each workspace
+//! function perform, transitively?
 //!
-//! The serving layer's contract is that *readers never block*: answering
-//! a query must not take a lock, touch the filesystem or network, spawn
-//! a thread, build a channel, or panic while holding a guard (poisoning
-//! the mutex for every later caller). The file-local lints can police
-//! spellings; proving the contract needs a whole-program view. This
-//! module provides it in three layers:
+//! Every transitive certificate udi-audit issues has the same shape: an
+//! entry point must not reach a class of sites through the call graph.
 //!
-//! 1. **Effect lattice.** [`EffectSet`] is a five-element powerset
-//!    lattice ordered by inclusion: [`Effect::Locks`],
-//!    [`Effect::BlocksIo`], [`Effect::Spawns`], [`Effect::Channels`],
-//!    [`Effect::PanicsViaPoison`]. Join is set union; the analysis is a
-//!    *may* analysis, so bigger means "can do more".
+//! - **panic-free**: the pub lib fns of the listed crates never reach
+//!   `unwrap`/`expect`, a panic macro, or a bounds-checked index;
+//! - **deterministic**: the declared entries never reach hash-ordered
+//!   iteration, a raw clock read, or an environment read, so same-corpus
+//!   runs stay bit-identical;
+//! - **lock-free**, **io-free**, **spawn-free**, **channel-free**,
+//!   **poison-free**: the serving layer's readers never block, and never
+//!   panic while holding a guard (poisoning the mutex for every later
+//!   caller).
+//!
+//! This module proves all of them with one analysis in three layers:
+//!
+//! 1. **Effect lattice.** [`EffectSet`] is the powerset of the nine
+//!    [`Effect`]s, ordered by inclusion. Join is set union; the analysis
+//!    is a *may* analysis, so bigger means "can do more".
 //! 2. **Local extraction.** [`local_effects`] scans one fn body's token
-//!    range for effect sites. Lock acquisition reuses the lock-order
-//!    pass's guard-call detector; `PanicsViaPoison` is path-sensitive —
-//!    it runs the same gen/kill guard-range dataflow
+//!    range for effect sites. Each class has one site classifier
+//!    ([`panic_site`], [`index_site`], [`hash_site`], [`clock_site`],
+//!    [`env_site`], [`print_site`], …), and the file-local lints call the
+//!    same classifiers, so a lint and its certificate never disagree on
+//!    what a site is. Lock acquisition reuses the lock-order pass's
+//!    guard-call detector; `PanicsViaPoison` is path-sensitive — it runs
+//!    the same gen/kill guard-range dataflow
 //!    ([`crate::dataflow::forward_may`] over the fn's CFG), so a panic
 //!    site *after* `drop(guard)` or outside the guard's lexical scope
 //!    does not count. Test code never reaches extraction at all (callers
-//!    skip `in_test` fns), which is the other path-sensitivity rule: an
-//!    effect inside `#[cfg(test)]` doesn't leak into a certificate.
+//!    skip `in_test` fns): an effect inside `#[cfg(test)]` doesn't leak
+//!    into a certificate.
 //! 3. **Interprocedural solve.** [`solve`] condenses the call graph into
 //!    its component DAG ([`crate::graph::scc::condense`]) and walks the
 //!    reverse-topological order front-to-back: a component's summary is
@@ -32,9 +42,9 @@
 //!    everywhere) and monotone: adding a call edge can only grow
 //!    summaries, never shrink them.
 //!
-//! The `hot-path-cert` pass (`crate::passes`) layers the `audit.toml`
-//! `[effects]` budgets on top and reports certificate failures with full
-//! call chains, in the same shape as the determinism certificate.
+//! The `effect-cert` pass (`crate::passes`) layers the `audit.toml`
+//! `[effects]` budgets on top and reports each failure with its shortest
+//! call chain and the offending site.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -44,13 +54,22 @@ use crate::cfg::StmtKind;
 use crate::dataflow::{forward_may, BitSet};
 use crate::graph::scc::condense;
 use crate::lexer::{Token, TokenKind};
-use crate::lints::{PANIC_MACROS, PANIC_METHODS};
 use crate::parser::is_comment;
 use crate::passes::lock_order::{drops_name, is_guard_call, scope_end, LOCK_METHODS};
 
 /// One element of the effect lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Effect {
+    /// Can panic: `.unwrap()` / `.expect(…)` and friends, a panic macro,
+    /// or a bounds-checked index `expr[…]`.
+    Panics,
+    /// Touches a hash-ordered container (`HashMap`, `HashSet`,
+    /// `RandomState`), whose iteration order varies run to run.
+    HashOrder,
+    /// Reads a raw clock (`Instant`, `SystemTime`).
+    ReadsClock,
+    /// Reads the process environment (`env::var` and friends).
+    ReadsEnv,
     /// Acquires a lock guard (`.lock()`, `.borrow_mut()`, empty-argument
     /// `.read()` / `.write()`).
     Locks,
@@ -69,7 +88,11 @@ pub enum Effect {
 
 impl Effect {
     /// Every effect, in lattice display order.
-    pub const ALL: [Effect; 5] = [
+    pub const ALL: [Effect; 9] = [
+        Effect::Panics,
+        Effect::HashOrder,
+        Effect::ReadsClock,
+        Effect::ReadsEnv,
         Effect::Locks,
         Effect::BlocksIo,
         Effect::Spawns,
@@ -80,6 +103,10 @@ impl Effect {
     /// Stable kebab-case name, used in diagnostics and docs.
     pub fn name(self) -> &'static str {
         match self {
+            Effect::Panics => "panics",
+            Effect::HashOrder => "hash-order",
+            Effect::ReadsClock => "reads-clock",
+            Effect::ReadsEnv => "reads-env",
             Effect::Locks => "locks",
             Effect::BlocksIo => "blocks-io",
             Effect::Spawns => "spawns",
@@ -88,24 +115,71 @@ impl Effect {
         }
     }
 
-    fn bit(self) -> u8 {
+    /// The `audit.toml` `[effects]` budget that bans this effect.
+    pub fn budget(self) -> &'static str {
         match self {
-            Effect::Locks => 1,
-            Effect::BlocksIo => 1 << 1,
-            Effect::Spawns => 1 << 2,
-            Effect::Channels => 1 << 3,
-            Effect::PanicsViaPoison => 1 << 4,
+            Effect::Panics => "panic-free",
+            Effect::HashOrder | Effect::ReadsClock | Effect::ReadsEnv => "deterministic",
+            Effect::Locks => "lock-free",
+            Effect::BlocksIo => "io-free",
+            Effect::Spawns => "spawn-free",
+            Effect::Channels => "channel-free",
+            Effect::PanicsViaPoison => "poison-free",
         }
+    }
+
+    /// What an entry that has this effect can reach, for diagnostics.
+    pub fn describe(self) -> &'static str {
+        match self {
+            Effect::Panics => "a panic",
+            Effect::HashOrder => "hash-ordered iteration",
+            Effect::ReadsClock => "a raw clock read",
+            Effect::ReadsEnv => "an environment read",
+            Effect::Locks => "a lock acquisition",
+            Effect::BlocksIo => "blocking I/O",
+            Effect::Spawns => "a thread spawn",
+            Effect::Channels => "a channel construction",
+            Effect::PanicsViaPoison => "a panic under a held lock guard (mutex poison)",
+        }
+    }
+
+    const fn bit(self) -> u16 {
+        1 << self as u16
     }
 }
 
 /// A set of [`Effect`]s — the lattice element attached to each fn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct EffectSet(u8);
+pub struct EffectSet(u16);
 
 impl EffectSet {
     /// The bottom element: no effects.
     pub const EMPTY: EffectSet = EffectSet(0);
+
+    /// What the `deterministic` budget bans, and what
+    /// `deterministic-exempt` lifts.
+    pub const NONDETERMINISM: EffectSet =
+        EffectSet::of(&[Effect::HashOrder, Effect::ReadsClock, Effect::ReadsEnv]);
+
+    /// The serving layer's blocking classes, which `blocking-exempt`
+    /// lifts.
+    pub const BLOCKING: EffectSet = EffectSet::of(&[
+        Effect::Locks,
+        Effect::BlocksIo,
+        Effect::Spawns,
+        Effect::Channels,
+        Effect::PanicsViaPoison,
+    ]);
+
+    /// The set of the listed effects.
+    pub const fn of(mut effects: &[Effect]) -> EffectSet {
+        let mut bits = 0;
+        while let [first, rest @ ..] = effects {
+            bits |= first.bit();
+            effects = rest;
+        }
+        EffectSet(bits)
+    }
 
     /// The set containing exactly `e`.
     pub fn singleton(e: Effect) -> EffectSet {
@@ -128,7 +202,7 @@ impl EffectSet {
         EffectSet(self.0 | other.0)
     }
 
-    /// Intersection — the hot-path pass uses it to mask a summary
+    /// Intersection — the certificate pass uses it to mask a summary
     /// against an entry's banned set.
     #[must_use]
     pub fn intersect(self, other: EffectSet) -> EffectSet {
@@ -174,6 +248,55 @@ pub struct EffectSite {
     pub col: u32,
 }
 
+/// One token with its significant (non-comment) neighbours: all the
+/// context a site classifier reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Near<'a> {
+    /// The significant token before `prev`.
+    pub before: Option<&'a Token>,
+    /// The previous significant token.
+    pub prev: Option<&'a Token>,
+    /// The token being classified.
+    pub tok: &'a Token,
+    /// The next significant token.
+    pub next: Option<&'a Token>,
+}
+
+impl<'a> Near<'a> {
+    /// The token at slot `s` of `sig`, a [`significant`] index list into
+    /// `tokens`. Neighbours stop at the ends of `sig`.
+    pub fn at(tokens: &'a [Token], sig: &[usize], s: usize) -> Option<Near<'a>> {
+        let get = |k: usize| sig.get(k).and_then(|&i| tokens.get(i));
+        Some(Near {
+            before: s.checked_sub(2).and_then(get),
+            prev: s.checked_sub(1).and_then(get),
+            tok: get(s)?,
+            next: get(s + 1),
+        })
+    }
+
+    /// The token's text if it is a plain identifier.
+    fn ident(&self) -> Option<&'a str> {
+        (self.tok.kind == TokenKind::Ident).then_some(self.tok.text.as_str())
+    }
+}
+
+/// Indices of the significant (non-comment) tokens in `range`.
+pub fn significant(tokens: &[Token], range: Range<usize>) -> Vec<usize> {
+    (range.start..range.end.min(tokens.len()))
+        .filter(|&i| tokens.get(i).is_some_and(|t| !is_comment(t)))
+        .collect()
+}
+
+fn is(t: Option<&Token>, text: &str) -> bool {
+    t.is_some_and(|t| t.text == text)
+}
+
+/// Methods that panic on `None` / `Err`.
+const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
+/// Macros that panic when reached.
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
 /// Type idents whose mere construction/use in a body marks blocking I/O.
 const IO_TYPES: &[&str] = &[
     "File",
@@ -189,117 +312,175 @@ const IO_STREAMS: &[&str] = &["stdin", "stdout", "stderr"];
 /// Print-family macros (blocking writes to the standard streams).
 const IO_PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"];
 
-/// Scan one fn body for effect sites. `fcfg` enables the path-sensitive
-/// `PanicsViaPoison` analysis; without a CFG that effect is skipped
-/// entirely (never over-approximated — a certificate must not fail on
-/// facts the engine cannot ground).
-///
-/// The caller owns the skip policy (test fns, non-lib files, exempt
-/// crates) and any allow-directive sanctioning.
-pub fn local_effects(tokens: &[Token], body: Range<usize>, fcfg: Option<&Cfg>) -> Vec<EffectSite> {
-    let mut sites = Vec::new();
-    let sig_prev = |from: usize| {
-        (body.start..from)
-            .rev()
-            .find(|&k| tokens.get(k).is_some_and(|t| !is_comment(t)))
-    };
-    let sig_next = |from: usize| {
-        (from + 1..body.end.min(tokens.len()))
-            .find(|&k| tokens.get(k).is_some_and(|t| !is_comment(t)))
-    };
+/// [`Effect::Panics`] by call: a `.unwrap()`-style method call, an
+/// `Option::unwrap`-style path, or a panic macro. Returns the spelling.
+pub fn panic_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    if PANIC_MACROS.contains(&name) && is(n.next, "!") {
+        Some(format!("`{name}!`"))
+    } else if !PANIC_METHODS.contains(&name) {
+        None
+    } else if is(n.prev, ".") && is(n.next, "(") {
+        Some(format!("`.{name}()`"))
+    } else {
+        is(n.prev, "::").then(|| format!("`::{name}`"))
+    }
+}
 
-    for i in body.clone() {
-        let Some(t) = tokens.get(i) else { continue };
-        if t.kind != TokenKind::Ident {
-            continue;
+/// [`Effect::Panics`] by indexing: `expr[…]`, a bounds-checked access —
+/// the token before the `[` ends an expression. `#[attr]` and `vec![…]`
+/// do not count: their `[` follows `#` / `!`.
+pub fn index_site(n: &Near) -> Option<String> {
+    if n.tok.kind != TokenKind::Punct || n.tok.text != "[" {
+        return None;
+    }
+    let p = n.prev?;
+    let ends_expr = matches!(p.kind, TokenKind::Ident | TokenKind::RawIdent)
+        && !matches!(
+            p.text.as_str(),
+            "mut" | "return" | "in" | "as" | "else" | "match" | "let" | "ref" | "box"
+        )
+        || (p.kind == TokenKind::Punct && matches!(p.text.as_str(), ")" | "]"));
+    ends_expr.then(|| "`[…]` index".to_owned())
+}
+
+/// [`Effect::HashOrder`]: a hash-ordered container or hasher type.
+pub fn hash_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    matches!(name, "HashMap" | "HashSet" | "RandomState").then(|| format!("`{name}`"))
+}
+
+/// [`Effect::ReadsClock`]: a raw clock type.
+pub fn clock_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    matches!(name, "Instant" | "SystemTime").then(|| format!("`{name}`"))
+}
+
+/// [`Effect::ReadsEnv`]: `env::var(…)` and friends, qualified spelling
+/// only (a bare `var` is any local).
+pub fn env_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    let qualified = is(n.prev, "::") && is(n.before, "env");
+    (matches!(name, "var" | "vars" | "var_os" | "vars_os") && qualified)
+        .then(|| format!("`env::{name}`"))
+}
+
+/// The print-macro part of [`Effect::BlocksIo`] (the part the
+/// `no-stray-io` lint polices).
+pub fn print_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    (IO_PRINT_MACROS.contains(&name) && is(n.next, "!")).then(|| format!("`{name}!`"))
+}
+
+/// [`Effect::BlocksIo`]: filesystem / socket types, std stream handles,
+/// `fs::` paths and the print macros.
+fn io_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    if IO_TYPES.contains(&name) {
+        Some(format!("`{name}` (blocking I/O handle)"))
+    } else if IO_STREAMS.contains(&name) && is(n.prev, "::") && is(n.next, "(") {
+        Some(format!("`io::{name}()` (standard stream)"))
+    } else if name == "fs" && is(n.next, "::") {
+        Some("`fs::…` (filesystem access)".to_owned())
+    } else {
+        print_site(n).map(|m| format!("{m} (blocking stream write)"))
+    }
+}
+
+/// [`Effect::Spawns`]: any `spawn(…)` call (free, builder, or scoped) and
+/// the `thread::scope` entry itself.
+fn spawn_site(n: &Near) -> Option<String> {
+    match n.ident()? {
+        "spawn" if is(n.next, "(") => Some("`spawn(…)` (thread spawn)".to_owned()),
+        "scope" if is(n.next, "(") && is(n.prev, "::") && is(n.before, "thread") => {
+            Some("`thread::scope` (scoped spawn region)".to_owned())
         }
-        let text = t.text.as_str();
-        let followed_by =
-            |s: &str| sig_next(i).is_some_and(|k| tokens.get(k).is_some_and(|t| t.text == s));
-        let preceded_by =
-            |s: &str| sig_prev(i).is_some_and(|k| tokens.get(k).is_some_and(|t| t.text == s));
+        _ => None,
+    }
+}
 
+/// [`Effect::Channels`]: the mpsc constructors.
+fn channel_site(n: &Near) -> Option<String> {
+    let name = n.ident()?;
+    (matches!(name, "channel" | "sync_channel") && is(n.next, "("))
+        .then(|| format!("`{name}(…)` (mpsc channel construction)"))
+}
+
+/// Every token-local classifier with the effect it reports. Locks and
+/// poison need the body range and the CFG; [`local_effects`] runs those.
+type Classifier = fn(&Near) -> Option<String>;
+const CLASSIFIERS: [(Effect, Classifier); 8] = [
+    (Effect::Panics, panic_site),
+    (Effect::Panics, index_site),
+    (Effect::HashOrder, hash_site),
+    (Effect::ReadsClock, clock_site),
+    (Effect::ReadsEnv, env_site),
+    (Effect::BlocksIo, io_site),
+    (Effect::Spawns, spawn_site),
+    (Effect::Channels, channel_site),
+];
+
+/// Scan one fn body for the sites of the effects in `scope`. `fcfg`
+/// enables the path-sensitive `PanicsViaPoison` analysis; without a CFG
+/// that effect is skipped entirely (never over-approximated — a
+/// certificate must not fail on facts the engine cannot ground).
+///
+/// The caller owns the skip policy (test fns, exemptions, which classes
+/// count in which code) through `scope`, and any allow-directive
+/// sanctioning.
+pub fn local_effects(
+    tokens: &[Token],
+    body: Range<usize>,
+    fcfg: Option<&Cfg>,
+    scope: EffectSet,
+) -> Vec<EffectSite> {
+    let sig = significant(tokens, body.clone());
+    let mut sites = Vec::new();
+    for (s, &i) in sig.iter().enumerate() {
+        // Every site is an identifier or an index bracket.
+        let candidate = tokens
+            .get(i)
+            .is_some_and(|t| t.kind == TokenKind::Ident || t.text == "[");
+        let Some(n) = Near::at(tokens, &sig, s).filter(|_| candidate) else {
+            continue;
+        };
         // Locks: guard-returning method calls, same detector as the
         // lock-order pass.
-        if LOCK_METHODS.contains(&text) && is_guard_call(tokens, body.clone(), i) {
-            sites.push(EffectSite {
-                effect: Effect::Locks,
-                what: format!("`.{text}()` guard acquisition"),
-                line: t.line,
-                col: t.col,
-            });
-            continue;
-        }
-
-        // BlocksIo: filesystem / socket types, std stream handles,
-        // print-family macros, `fs::` paths.
-        let io = if IO_TYPES.contains(&text) {
-            Some(format!("`{text}` (blocking I/O handle)"))
-        } else if IO_STREAMS.contains(&text) && preceded_by("::") && followed_by("(") {
-            Some(format!("`io::{text}()` (standard stream)"))
-        } else if text == "fs" && followed_by("::") {
-            Some("`fs::…` (filesystem access)".to_owned())
-        } else if IO_PRINT_MACROS.contains(&text) && followed_by("!") {
-            Some(format!("`{text}!` (blocking stream write)"))
+        let lock = scope.contains(Effect::Locks)
+            && n.ident().is_some_and(|t| LOCK_METHODS.contains(&t))
+            && is_guard_call(tokens, body.clone(), i);
+        let found = if lock {
+            Some((
+                Effect::Locks,
+                format!("`.{}()` guard acquisition", n.tok.text),
+            ))
         } else {
-            None
+            CLASSIFIERS
+                .iter()
+                .filter(|(e, _)| scope.contains(*e))
+                .find_map(|(e, classify)| classify(&n).map(|what| (*e, what)))
         };
-        if let Some(what) = io {
+        if let Some((effect, what)) = found {
             sites.push(EffectSite {
-                effect: Effect::BlocksIo,
+                effect,
                 what,
-                line: t.line,
-                col: t.col,
-            });
-            continue;
-        }
-
-        // Spawns: any `spawn(…)` call (free, builder, or scoped) plus the
-        // `thread::scope` entry itself.
-        if text == "spawn" && followed_by("(") {
-            sites.push(EffectSite {
-                effect: Effect::Spawns,
-                what: "`spawn(…)` (thread spawn)".to_owned(),
-                line: t.line,
-                col: t.col,
-            });
-            continue;
-        }
-        if text == "scope" && followed_by("(") {
-            let thread_qualified = sig_prev(i)
-                .filter(|&k| tokens.get(k).is_some_and(|t| t.text == "::"))
-                .and_then(sig_prev)
-                .is_some_and(|k| tokens.get(k).is_some_and(|t| t.text == "thread"));
-            if thread_qualified {
-                sites.push(EffectSite {
-                    effect: Effect::Spawns,
-                    what: "`thread::scope` (scoped spawn region)".to_owned(),
-                    line: t.line,
-                    col: t.col,
-                });
-                continue;
-            }
-        }
-
-        // Channels: mpsc constructors.
-        if matches!(text, "channel" | "sync_channel") && followed_by("(") {
-            sites.push(EffectSite {
-                effect: Effect::Channels,
-                what: format!("`{text}(…)` (mpsc channel construction)"),
-                line: t.line,
-                col: t.col,
+                line: n.tok.line,
+                col: n.tok.col,
             });
         }
     }
 
-    if let Some(fcfg) = fcfg {
-        sites.extend(poison_sites(tokens, body, fcfg));
+    // A poison panic needs a held guard, so only a body that locks can
+    // have one.
+    let locks = sites.iter().any(|s| s.effect == Effect::Locks);
+    if let (Some(fcfg), true) = (fcfg, locks && scope.contains(Effect::PanicsViaPoison)) {
+        sites.extend(poison_sites(tokens, body, &sig, fcfg));
     }
     sites.sort_by_key(|s| (s.line, s.col, s.effect));
     sites
 }
 
-/// Path-sensitive `PanicsViaPoison`: a panic-capable token at a statement
+/// Path-sensitive `PanicsViaPoison`: a [`panic_site`] at a statement
 /// where a `let`-bound lock guard is live at entry. Reuses the lock-order
 /// pass's guard-range dataflow — the fact is generated at the binding
 /// statement and killed both at `drop(name)` and past the binding's
@@ -307,7 +488,12 @@ pub fn local_effects(tokens: &[Token], body: Range<usize>, fcfg: Option<&Cfg>) -
 /// [`forward_may`]. A panic in the *same* statement as the acquisition
 /// (`m.lock().unwrap()`) is not a poison panic: the guard is still inside
 /// the `Result` when `unwrap` decides.
-fn poison_sites(tokens: &[Token], body: Range<usize>, fcfg: &Cfg) -> Vec<EffectSite> {
+fn poison_sites(
+    tokens: &[Token],
+    body: Range<usize>,
+    sig: &[usize],
+    fcfg: &Cfg,
+) -> Vec<EffectSite> {
     // Guard facts: let-bound, non-discard guard-call acquisitions.
     struct Guard {
         name: String,
@@ -315,7 +501,7 @@ fn poison_sites(tokens: &[Token], body: Range<usize>, fcfg: &Cfg) -> Vec<EffectS
         tok: usize,
     }
     let mut guards: Vec<Guard> = Vec::new();
-    for i in body.clone() {
+    for &i in sig {
         let Some(t) = tokens.get(i) else { continue };
         if t.kind != TokenKind::Ident
             || !LOCK_METHODS.contains(&t.text.as_str())
@@ -366,43 +552,20 @@ fn poison_sites(tokens: &[Token], body: Range<usize>, fcfg: &Cfg) -> Vec<EffectS
     }
     let flow = forward_may(fcfg, guards.len(), &gen, &kill);
 
-    let sig_prev = |from: usize| {
-        (body.start..from)
-            .rev()
-            .find(|&k| tokens.get(k).is_some_and(|t| !is_comment(t)))
-    };
-    let sig_next = |from: usize| {
-        (from + 1..body.end.min(tokens.len()))
-            .find(|&k| tokens.get(k).is_some_and(|t| !is_comment(t)))
-    };
     let mut sites = Vec::new();
-    for i in body.clone() {
-        let Some(t) = tokens.get(i) else { continue };
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let text = t.text.as_str();
-        let at = |k: usize, s: &str| tokens.get(k).is_some_and(|t| t.text == s);
-        let method = PANIC_METHODS.contains(&text)
-            && sig_prev(i).is_some_and(|k| at(k, "."))
-            && sig_next(i).is_some_and(|k| at(k, "("));
-        let mac = PANIC_MACROS.contains(&text) && sig_next(i).is_some_and(|k| at(k, "!"));
-        if !method && !mac {
-            continue;
-        }
-        let Some(b) = fcfg.block_of_token(i) else {
+    for (s, &i) in sig.iter().enumerate() {
+        let Some(n) = Near::at(tokens, sig, s) else {
             continue;
         };
-        let Some(held) = flow.input.get(b) else {
+        let Some(spelled) = panic_site(&n) else {
             continue;
         };
-        let Some(first) = held.iter().next() else {
+        let Some(first) = fcfg
+            .block_of_token(i)
+            .and_then(|b| flow.input.get(b))
+            .and_then(|held| held.iter().next())
+        else {
             continue;
-        };
-        let spelled = if mac {
-            format!("`{text}!`")
-        } else {
-            format!("`.{text}()`")
         };
         sites.push(EffectSite {
             effect: Effect::PanicsViaPoison,
@@ -410,8 +573,8 @@ fn poison_sites(tokens: &[Token], body: Range<usize>, fcfg: &Cfg) -> Vec<EffectS
                 "{spelled} while guard `{}` is held (poisons the lock)",
                 guards.get(first).map(|g| g.name.as_str()).unwrap_or("?")
             ),
-            line: t.line,
-            col: t.col,
+            line: n.tok.line,
+            col: n.tok.col,
         });
     }
     sites
@@ -468,6 +631,16 @@ mod tests {
         s
     }
 
+    const ALL: EffectSet = EffectSet::of(&Effect::ALL);
+
+    fn effects_of(src: &str, scope: EffectSet) -> Vec<Effect> {
+        let (tokens, body, cfg) = body_of(src);
+        local_effects(&tokens, body, Some(&cfg), scope)
+            .iter()
+            .map(|s| s.effect)
+            .collect()
+    }
+
     fn graph(n: usize, edges: &[(usize, usize)]) -> Vec<BTreeSet<usize>> {
         let mut adj = vec![BTreeSet::new(); n];
         for &(a, b) in edges {
@@ -516,7 +689,7 @@ mod tests {
              println!(\"x\");\n\
              }",
         );
-        let sites = local_effects(&tokens, body, None);
+        let sites = local_effects(&tokens, body, None, ALL);
         let effects: Vec<Effect> = sites.iter().map(|s| s.effect).collect();
         assert!(effects.contains(&Effect::Locks));
         assert!(effects.contains(&Effect::BlocksIo));
@@ -525,9 +698,73 @@ mod tests {
     }
 
     #[test]
+    fn panic_sites_are_collected_per_fn() {
+        let f = effects_of(
+            "fn f(x: Option<u8>, v: &[u8]) -> u8 { x.unwrap() + v[0] }",
+            ALL,
+        );
+        assert_eq!(f, [Effect::Panics, Effect::Panics]);
+        assert_eq!(
+            effects_of("fn g() { panic!(\"no\") }", ALL),
+            [Effect::Panics]
+        );
+        assert_eq!(
+            effects_of("fn h() { Option::unwrap(x); }", ALL),
+            [Effect::Panics]
+        );
+        assert!(effects_of("fn clean() { x.unwrap_or(0); }", ALL).is_empty());
+    }
+
+    #[test]
+    fn attribute_and_macro_brackets_are_not_index_sites() {
+        let src = "fn f() -> Vec<u8> { #[allow(unused)] let v = vec![1, 2]; v }";
+        assert!(effects_of(src, ALL).is_empty());
+    }
+
+    #[test]
+    fn nondeterminism_sites_need_their_spelling() {
+        let src = "fn f() {\n\
+                   let m: HashMap<u8, u8> = HashMap::new();\n\
+                   let t = Instant::now();\n\
+                   let home = std::env::var(\"HOME\");\n\
+                   let local = var(\"x\");\n\
+                   }";
+        assert_eq!(
+            effects_of(src, ALL),
+            [
+                Effect::HashOrder,
+                Effect::HashOrder,
+                Effect::ReadsClock,
+                Effect::ReadsEnv
+            ]
+        );
+    }
+
+    #[test]
+    fn scope_limits_which_classes_are_collected() {
+        let src = "fn f(&self) {\n\
+                   let g = self.m.lock();\n\
+                   let t = Instant::now();\n\
+                   self.x.get(k).unwrap();\n\
+                   }";
+        assert_eq!(
+            effects_of(src, EffectSet::singleton(Effect::Panics)),
+            [Effect::Panics]
+        );
+        assert_eq!(
+            effects_of(src, EffectSet::BLOCKING),
+            [Effect::Locks, Effect::PanicsViaPoison]
+        );
+        assert_eq!(
+            effects_of(src, EffectSet::NONDETERMINISM),
+            [Effect::ReadsClock]
+        );
+    }
+
+    #[test]
     fn read_with_arguments_is_not_a_lock() {
         let (tokens, body, _) = body_of("fn f() { file.read(&mut buf); }");
-        assert!(local_effects(&tokens, body, None).is_empty());
+        assert!(local_effects(&tokens, body, None, ALL).is_empty());
     }
 
     #[test]
@@ -538,7 +775,7 @@ mod tests {
              self.x.get(k).unwrap();\n\
              }",
         );
-        let sites = local_effects(&tokens, body, Some(&cfg));
+        let sites = local_effects(&tokens, body, Some(&cfg), ALL);
         assert!(
             sites.iter().any(|s| s.effect == Effect::PanicsViaPoison),
             "panic with guard held must register: {sites:?}"
@@ -554,7 +791,7 @@ mod tests {
              self.x.get(k).unwrap();\n\
              }",
         );
-        let sites = local_effects(&tokens, body, Some(&cfg));
+        let sites = local_effects(&tokens, body, Some(&cfg), ALL);
         assert!(
             !sites.iter().any(|s| s.effect == Effect::PanicsViaPoison),
             "drop(g) before the panic site must kill the fact: {sites:?}"
@@ -564,7 +801,7 @@ mod tests {
     #[test]
     fn acquisition_statement_itself_is_not_poison() {
         let (tokens, body, cfg) = body_of("fn f(&self) { let g = self.m.lock().unwrap(); }");
-        let sites = local_effects(&tokens, body, Some(&cfg));
+        let sites = local_effects(&tokens, body, Some(&cfg), ALL);
         assert!(!sites.iter().any(|s| s.effect == Effect::PanicsViaPoison));
     }
 

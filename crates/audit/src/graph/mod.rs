@@ -8,7 +8,7 @@
 //!   `use` imports of workspace crates;
 //! - `recv.foo(…)` resolves to *every* workspace method named `foo`
 //!   (receiver types are unknown without type inference — this
-//!   over-approximates, which for panic-reachability is the safe
+//!   over-approximates, which for the effect certificates is the safe
 //!   direction);
 //! - `Type::foo(…)` resolves through the workspace type `Type`,
 //!   `udi_x::path::foo(…)` through the crate alias, `Self::foo(…)`
@@ -25,8 +25,8 @@ use std::ops::Range;
 use std::path::Path;
 
 use crate::classify::CodeKind;
+use crate::effects::{panic_site, significant, Near};
 use crate::lexer::{Token, TokenKind};
-use crate::lints::{PANIC_MACROS, PANIC_METHODS};
 use crate::parser::{is_comment, Item, ItemKind, Vis};
 use crate::{AuditError, SourceFile};
 
@@ -63,30 +63,6 @@ pub struct FnNode {
     pub id_path: String,
 }
 
-/// How a panic site can fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()` / `.expect(…)` and friends.
-    UnwrapLike,
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-    Macro,
-    /// `expr[…]` indexing / slicing (bounds-checked abort).
-    Index,
-}
-
-/// One potential panic inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// What fires.
-    pub kind: PanicKind,
-    /// The offending token text (`unwrap`, `panic`, `[`).
-    pub what: String,
-    /// 1-based position in the defining file.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
 /// One resolved call inside a function body.
 #[derive(Debug, Clone, Copy)]
 pub struct CallSite {
@@ -109,8 +85,6 @@ pub struct CallGraph {
     pub fns: Vec<FnNode>,
     /// Per-fn resolved calls, sorted by token position.
     pub calls: Vec<Vec<CallSite>>,
-    /// Per-fn potential panic sites.
-    pub sites: Vec<Vec<PanicSite>>,
 }
 
 impl CallGraph {
@@ -276,9 +250,8 @@ pub fn build_call_graph(files: &[SourceFile]) -> CallGraph {
         imports.push(map);
     }
 
-    // Pass 2: body scans — calls and panic sites.
+    // Pass 2: body scans for calls.
     g.calls = vec![Vec::new(); g.fns.len()];
-    g.sites = vec![Vec::new(); g.fns.len()];
     for f in 0..g.fns.len() {
         let Some(node) = g.fns.get(f) else {
             continue;
@@ -292,7 +265,7 @@ pub fn build_call_graph(files: &[SourceFile]) -> CallGraph {
         let empty = BTreeMap::new();
         let imp = imports.get(node.file).unwrap_or(&empty);
         let params = param_types(&file.tokens, node.sig.clone(), &type_names);
-        let (calls, sites) = scan_body(
+        let calls = scan_body(
             file,
             body,
             &node.crate_name,
@@ -306,9 +279,6 @@ pub fn build_call_graph(files: &[SourceFile]) -> CallGraph {
         );
         if let Some(slot) = g.calls.get_mut(f) {
             *slot = calls;
-        }
-        if let Some(slot) = g.sites.get_mut(f) {
-            *slot = sites;
         }
     }
     g
@@ -326,17 +296,14 @@ fn scan_body(
     by_type_name: &BTreeMap<(String, String), Vec<usize>>,
     methods: &BTreeMap<String, Vec<usize>>,
     type_names: &BTreeSet<String>,
-) -> (Vec<CallSite>, Vec<PanicSite>) {
+) -> Vec<CallSite> {
     let mut calls: Vec<CallSite> = Vec::new();
-    let mut sites: Vec<PanicSite> = Vec::new();
     // Receiver types known at the current scan position: fn params up
     // front, `let` bindings added as the linear scan passes them (a
     // later shadowing rebind simply overwrites — linear approximation).
     let mut locals: BTreeMap<String, String> = params.clone();
     // Significant-token slots of the body.
-    let sig: Vec<usize> = (body.start..body.end.min(file.tokens.len()))
-        .filter(|&i| file.tokens.get(i).is_some_and(|t| !is_comment(t)))
-        .collect();
+    let sig = significant(&file.tokens, body);
     let tok = |s: usize| -> Option<&Token> { sig.get(s).and_then(|&i| file.tokens.get(i)) };
     let text = |s: usize| -> Option<&str> { tok(s).map(|t| t.text.as_str()) };
 
@@ -356,29 +323,6 @@ fn scan_body(
     for s in 0..sig.len() {
         let Some(t) = tok(s) else { continue };
         let tok_idx = sig.get(s).copied().unwrap_or(0);
-
-        // Indexing / slicing: `expr[…]` — prev significant token ends an
-        // expression. (`#[attr]` and `vec![…]` are excluded because their
-        // `[` follows `#` / `!`.)
-        if t.kind == TokenKind::Punct && t.text == "[" && s > 0 {
-            let prev_ends_expr = tok(s - 1).is_some_and(|p| {
-                matches!(p.kind, TokenKind::Ident | TokenKind::RawIdent)
-                    && !matches!(
-                        p.text.as_str(),
-                        "mut" | "return" | "in" | "as" | "else" | "match" | "let" | "ref" | "box"
-                    )
-                    || (p.kind == TokenKind::Punct && matches!(p.text.as_str(), ")" | "]"))
-            });
-            if prev_ends_expr {
-                sites.push(PanicSite {
-                    kind: PanicKind::Index,
-                    what: "[".to_owned(),
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            continue;
-        }
 
         if !matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent) {
             continue;
@@ -434,29 +378,13 @@ fn scan_body(
             continue;
         }
 
-        // Panic macros: `panic!(…)`.
-        if PANIC_MACROS.contains(&name) && next == Some("!") {
-            sites.push(PanicSite {
-                kind: PanicKind::Macro,
-                what: format!("{name}!"),
-                line: t.line,
-                col: t.col,
-            });
-            continue;
-        }
-
         if next != Some("(") {
             continue;
         }
 
-        // Panic methods: `.unwrap()` or `Option::unwrap(…)`.
-        if PANIC_METHODS.contains(&name) && matches!(prev, Some("." | "::")) {
-            sites.push(PanicSite {
-                kind: PanicKind::UnwrapLike,
-                what: name.to_owned(),
-                line: t.line,
-                col: t.col,
-            });
+        // `.unwrap()` / `Option::unwrap(…)` are std calls, never edges
+        // into a workspace fn that happens to share the name.
+        if Near::at(&file.tokens, &sig, s).is_some_and(|n| panic_site(&n).is_some()) {
             continue;
         }
 
@@ -574,7 +502,7 @@ fn scan_body(
     }
     calls.sort_by_key(|c| (c.tok, c.callee));
     calls.dedup_by_key(|c| (c.tok, c.callee));
-    (calls, sites)
+    calls
 }
 
 /// The workspace type a value of the given type tokens dispatches
@@ -921,39 +849,6 @@ mod tests {
         let top = g.fns.iter().position(|f| f.name == "top").unwrap();
         let go = g.fns.iter().position(|f| f.name == "go").unwrap();
         assert!(g.edges(top).contains(&go));
-    }
-
-    #[test]
-    fn panic_sites_are_collected_per_fn() {
-        let files = vec![file(
-            "udi-a",
-            "crates/a/src/lib.rs",
-            "pub fn f(x: Option<u8>, v: &[u8]) -> u8 { x.unwrap() + v[0] }\n\
-             pub fn g() { panic!(\"no\") }\n\
-             pub fn clean() {}",
-        )];
-        let g = build_call_graph(&files);
-        let f = g.fns.iter().position(|f| f.name == "f").unwrap();
-        let gg = g.fns.iter().position(|f| f.name == "g").unwrap();
-        let clean = g.fns.iter().position(|f| f.name == "clean").unwrap();
-        let kinds: Vec<PanicKind> = g.sites[f].iter().map(|s| s.kind).collect();
-        assert!(kinds.contains(&PanicKind::UnwrapLike));
-        assert!(kinds.contains(&PanicKind::Index));
-        assert_eq!(g.sites[gg].len(), 1);
-        assert_eq!(g.sites[gg][0].kind, PanicKind::Macro);
-        assert!(g.sites[clean].is_empty());
-    }
-
-    #[test]
-    fn attribute_and_macro_brackets_are_not_index_sites() {
-        let files = vec![file(
-            "udi-a",
-            "crates/a/src/lib.rs",
-            "pub fn f() -> Vec<u8> { let v = vec![1, 2]; v }",
-        )];
-        let g = build_call_graph(&files);
-        let f = g.fns.iter().position(|f| f.name == "f").unwrap();
-        assert!(g.sites[f].is_empty(), "{:?}", g.sites[f]);
     }
 
     #[test]

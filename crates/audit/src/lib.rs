@@ -24,12 +24,12 @@
 //!    call graph (with receiver-typed method resolution) and a
 //!    crate-dependency edge list; [`mod@cfg`] builds a per-function control
 //!    flow graph from each body's token range and [`dataflow`] runs
-//!    gen/kill analyses over it. The passes then check transitive
-//!    panic-reachability, the crate layering contract from `audit.toml`
-//!    ([`config`]), concurrency rules, lock-acquisition-order cycles,
-//!    determinism certification of the declared entry points,
-//!    discarded `Result`s, and dead exports against the shared
-//!    [`ratchet`] file.
+//!    gen/kill analyses over it. The passes then check the crate
+//!    layering contract from `audit.toml` ([`config`]), concurrency
+//!    rules, lock-acquisition-order cycles, the effect certificates
+//!    ([`effects`]: panic-free, deterministic and non-blocking entry
+//!    points, one lattice and one solver), discarded `Result`s, and dead
+//!    exports against the shared [`ratchet`] file.
 //!
 //! Every file is lexed exactly once per audit ([`Workspace::lex_count`]
 //! asserts it); each pass is timed through a `udi-obs` span
@@ -75,7 +75,7 @@ use std::path::{Path, PathBuf};
 use udi_obs::json::render_string;
 
 pub use classify::{classify, collect_sources, CodeKind, FileClass};
-pub use config::{load_config, parse_config, Config, IndexMode};
+pub use config::{load_config, parse_config, Config};
 pub use lints::{all_lints, audit_source, Diagnostic, LintInfo, Severity, LINTS};
 
 use lexer::{lex, Token};
@@ -264,11 +264,10 @@ impl AuditReport {
 /// Run every enabled lint and pass over a loaded workspace.
 ///
 /// Each stage runs under a `udi-obs` span (`audit.pass.file-lints`,
-/// `audit.graph.call`, `audit.cfg.build`,
-/// `audit.pass.panic-reachability`, `audit.pass.crate-layering`,
+/// `audit.graph.call`, `audit.cfg.build`, `audit.pass.crate-layering`,
 /// `audit.pass.concurrency`, `audit.pass.lock-order`,
-/// `audit.pass.determinism`, `audit.pass.hot-path-cert`,
-/// `audit.pass.error-discard`, `audit.pass.dead-exports`) so a
+/// `audit.pass.effect-cert`, `audit.pass.error-discard`,
+/// `audit.pass.dead-exports`) so a
 /// [`udi_obs::TraceSummary`] of the recorder shows where audit time goes.
 pub fn run_audit(
     ws: &Workspace,
@@ -296,11 +295,9 @@ pub fn run_audit(
     }
 
     let need_graph = [
-        lints::PANIC_REACHABILITY,
         lints::LOCK_ORDER_CYCLE,
-        lints::DETERMINISM_CERT,
+        lints::EFFECT_CERT,
         lints::ERROR_DISCARD,
-        lints::HOT_PATH_CERT,
     ]
     .iter()
     .any(|l| enabled.contains(l));
@@ -314,8 +311,8 @@ pub fn run_audit(
     // Per-function CFGs, built once and shared by the dataflow passes.
     let need_cfg = [
         lints::LOCK_ORDER_CYCLE,
+        lints::EFFECT_CERT,
         lints::ERROR_DISCARD,
-        lints::HOT_PATH_CERT,
     ]
     .iter()
     .any(|l| enabled.contains(l));
@@ -343,16 +340,6 @@ pub fn run_audit(
         None => ratchet::Ratchet::default(),
     };
 
-    if enabled.contains(lints::PANIC_REACHABILITY) {
-        let _span = rec.span("audit.pass.panic-reachability");
-        diagnostics.extend(passes::panic_reach::run(
-            ws,
-            cfg,
-            &call_graph,
-            &mut directives,
-        ));
-    }
-
     if enabled.contains(lints::CRATE_LAYERING) && !cfg.layers.is_empty() {
         let _span = rec.span("audit.pass.crate-layering");
         let mut edges = graph::manifest_deps(&ws.root)?;
@@ -360,20 +347,19 @@ pub fn run_audit(
         diagnostics.extend(passes::layering::run(cfg, &edges));
     }
 
-    let conc = [lints::STATIC_MUT, lints::SHARED_MUTABLE_STATIC];
-    if conc.iter().any(|l| enabled.contains(l)) {
+    if enabled.contains(lints::SHARED_MUTABLE_STATIC) {
         let _span = rec.span("audit.pass.concurrency");
-        let mut found =
-            passes::concurrency::run(ws, &cfg.interior_mutable_allowed, &mut directives);
-        found.retain(|d| enabled.contains(d.lint));
-        diagnostics.extend(found);
+        diagnostics.extend(passes::concurrency::run(
+            ws,
+            &cfg.interior_mutable_allowed,
+            &mut directives,
+        ));
     }
 
     if enabled.contains(lints::LOCK_ORDER_CYCLE) {
         let _span = rec.span("audit.pass.lock-order");
         diagnostics.extend(passes::lock_order::run(
             ws,
-            cfg,
             &call_graph,
             &cfgs,
             &ratchet,
@@ -382,21 +368,9 @@ pub fn run_audit(
         ));
     }
 
-    if enabled.contains(lints::DETERMINISM_CERT) {
-        let _span = rec.span("audit.pass.determinism");
-        diagnostics.extend(passes::determinism::run(
-            ws,
-            cfg,
-            &call_graph,
-            &ratchet,
-            ratchet_path,
-            &mut directives,
-        ));
-    }
-
-    if enabled.contains(lints::HOT_PATH_CERT) {
-        let _span = rec.span("audit.pass.hot-path-cert");
-        diagnostics.extend(passes::hot_path::run(
+    if enabled.contains(lints::EFFECT_CERT) {
+        let _span = rec.span("audit.pass.effect-cert");
+        diagnostics.extend(passes::effect_cert::run(
             ws,
             cfg,
             &call_graph,
@@ -411,7 +385,6 @@ pub fn run_audit(
         let _span = rec.span("audit.pass.error-discard");
         diagnostics.extend(passes::error_discard::run(
             ws,
-            cfg,
             &call_graph,
             &cfgs,
             &ratchet,

@@ -25,6 +25,7 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 
 use crate::classify::{CodeKind, FileClass};
+use crate::effects::{clock_site, hash_site, panic_site, print_site, significant, Near};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::parser::is_comment;
 
@@ -44,28 +45,21 @@ pub const NO_STRAY_IO: &str = "no-stray-io";
 pub const MALFORMED_ALLOW: &str = "malformed-allow";
 /// An allow directive that suppressed nothing — stale tech debt.
 pub const UNUSED_ALLOW: &str = "unused-allow";
-/// A `pub` lib fn from which a panic is reachable through the call graph.
-pub const PANIC_REACHABILITY: &str = "panic-reachability";
 /// A crate dependency that violates the declared layer order.
 pub const CRATE_LAYERING: &str = "crate-layering";
-/// `static mut` anywhere in shipped code.
-pub const STATIC_MUT: &str = "static-mut";
 /// A non-`const` interior-mutable static outside the sanctioned crates.
 pub const SHARED_MUTABLE_STATIC: &str = "shared-mutable-static";
 /// A cycle in the workspace lock-acquisition-order graph (deadlock risk).
 pub const LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
-/// A declared deterministic entry point that can reach nondeterministic
-/// iteration, a raw clock read, or an environment read.
-pub const DETERMINISM_CERT: &str = "determinism-cert";
 /// A dropped `Result` (`let _ = …` or a bare expression statement of a
 /// fallible call) in library code.
 pub const ERROR_DISCARD: &str = "error-discard";
 /// A `pub` item with zero intra-workspace references.
 pub const DEAD_EXPORT: &str = "dead-export";
-/// A declared hot-path entry point whose transitive effect summary
-/// contains an effect its `[effects]` budget bans (locks, blocking I/O,
+/// An entry point whose transitive effect summary contains an effect its
+/// `[effects]` budget bans (panics, nondeterminism, locks, blocking I/O,
 /// spawns, channels, poisoning panics).
-pub const HOT_PATH_CERT: &str = "hot-path-cert";
+pub const EFFECT_CERT: &str = "effect-cert";
 
 /// Name and one-line rationale of one lint.
 #[derive(Debug, Clone, Copy)]
@@ -113,19 +107,9 @@ pub const LINTS: &[LintInfo] = &[
         summary: "an allow directive that suppresses nothing is stale and must be removed",
     },
     LintInfo {
-        name: PANIC_REACHABILITY,
-        summary: "a pub lib fn of a panic-free crate must not transitively reach \
-                  unwrap/expect/panic! through the workspace call graph (full chain reported)",
-    },
-    LintInfo {
         name: CRATE_LAYERING,
         summary: "crate dependencies must respect the layer order declared in audit.toml; \
                   back-edges and undeclared crates fail",
-    },
-    LintInfo {
-        name: STATIC_MUT,
-        summary: "`static mut` is unsynchronized shared mutable state; the parallel \
-                  fan-out path forbids it outright",
     },
     LintInfo {
         name: SHARED_MUTABLE_STATIC,
@@ -138,12 +122,6 @@ pub const LINTS: &[LintInfo] = &[
                   the parallel serving layer; acquisition order must be a DAG (chains reported)",
     },
     LintInfo {
-        name: DETERMINISM_CERT,
-        summary: "functions reachable from the audit.toml [determinism] entry points must \
-                  avoid hash-ordered iteration, raw clock reads, and env reads — a transitive \
-                  proof of the byte-identical-answers invariant",
-    },
-    LintInfo {
         name: ERROR_DISCARD,
         summary: "`let _ = fallible()` or a bare `fallible();` statement silently drops a \
                   Result in library code; handle or propagate it",
@@ -154,11 +132,11 @@ pub const LINTS: &[LintInfo] = &[
                   in the ratchet file, new debt fails",
     },
     LintInfo {
-        name: HOT_PATH_CERT,
-        summary: "entry points declared in audit.toml [effects] must not transitively reach \
-                  the banned effects of their budget (lock acquisition, blocking I/O, thread \
-                  spawns, channel construction, poisoning panics) — the readers-never-block \
-                  proof of the serving layer",
+        name: EFFECT_CERT,
+        summary: "entry points under an audit.toml [effects] budget must not transitively \
+                  reach what it bans: panics (panic-free), hash order, clock or env reads \
+                  (deterministic), locks, blocking I/O, spawns, channels, poisoning panics \
+                  (the readers-never-block budgets); chain and site reported",
     },
 ];
 
@@ -177,8 +155,8 @@ pub fn all_lints() -> BTreeSet<&'static str> {
 pub enum Severity {
     /// Fails the audit (nonzero exit, red CI).
     Error,
-    /// Reported and counted, but does not fail the audit. Used by the
-    /// dead-export ratchet and warn-mode index reachability.
+    /// Reported and counted, but does not fail the audit. Used for
+    /// ratcheted debt.
     Warning,
 }
 
@@ -295,10 +273,6 @@ pub const RAW_TIME_EXEMPT_CRATES: &[&str] = &["udi-obs", "udi-bench"];
 /// Crates allowed to print directly (the bench harness narrates runs).
 pub const STRAY_IO_EXEMPT_CRATES: &[&str] = &["udi-bench"];
 
-pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const IO_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-
 /// A parsed `udi-audit: allow(...)` directive.
 #[derive(Debug)]
 pub(crate) struct AllowDirective {
@@ -382,6 +356,10 @@ pub(crate) fn run_file_lints(
     directives: &mut [AllowDirective],
     enabled: &BTreeSet<&str>,
 ) -> Vec<Diagnostic> {
+    // Every token-pattern lint polices library code only.
+    if class.kind != CodeKind::Lib {
+        return Vec::new();
+    }
     let test_regions = test_regions(tokens);
     let in_test = |i: usize| test_regions.iter().any(|r| r.contains(&i));
     let use_spans = use_spans(tokens);
@@ -390,71 +368,44 @@ pub(crate) fn run_file_lints(
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut candidates: Vec<(usize, &'static str, String)> = Vec::new();
     let crate_name = class.crate_name.as_str();
-    let is_lib = class.kind == CodeKind::Lib;
+    // Each lint's crate perimeter, decided once per file.
+    let panic_free = PANIC_FREE_CRATES.contains(&crate_name);
+    let deterministic = DETERMINISTIC_CRATES.contains(&crate_name);
+    let float_eq = FLOAT_EQ_CRATES.contains(&crate_name);
+    let raw_time = !RAW_TIME_EXEMPT_CRATES.contains(&crate_name);
+    let stray_io = !STRAY_IO_EXEMPT_CRATES.contains(&crate_name);
 
-    let prev_sig = |i: usize| {
-        tokens
-            .get(..i)
-            .unwrap_or(&[])
-            .iter()
-            .rev()
-            .find(|t| !is_comment(t))
-    };
-    let next_sig = |i: usize| {
-        tokens
-            .get(i + 1..)
-            .unwrap_or(&[])
-            .iter()
-            .find(|t| !is_comment(t))
-    };
-
-    for (i, tok) in tokens.iter().enumerate() {
-        if is_comment(tok) || in_test(i) {
+    let sig = significant(tokens, 0..tokens.len());
+    for (s, &i) in sig.iter().enumerate() {
+        // Every lint fires on an identifier or a comparison operator.
+        let candidate = tokens.get(i).is_some_and(|t| {
+            t.kind == TokenKind::Ident
+                || (t.kind == TokenKind::Punct && matches!(t.text.as_str(), "==" | "!="))
+        });
+        let Some(n) = Near::at(tokens, &sig, s).filter(|_| candidate && !in_test(i)) else {
             continue;
-        }
-        let is_ident = tok.kind == TokenKind::Ident;
+        };
+        let tok = n.tok;
 
         // no-panic-in-lib
-        if is_lib && PANIC_FREE_CRATES.contains(&crate_name) {
-            if is_ident && PANIC_METHODS.contains(&tok.text.as_str()) {
-                let prev = prev_sig(i).map(|t| t.text.as_str());
-                let next = next_sig(i).map(|t| t.text.as_str());
-                let method_call = prev == Some(".") && next == Some("(");
-                let path_use = prev == Some("::");
-                if method_call || path_use {
-                    candidates.push((
-                        i,
-                        NO_PANIC_IN_LIB,
-                        format!(
-                            "`{}` can panic; library code of `{}` must propagate `UdiError` \
-                             (or carry a reasoned allow)",
-                            tok.text, crate_name
-                        ),
-                    ));
-                }
-            }
-            if is_ident
-                && PANIC_MACROS.contains(&tok.text.as_str())
-                && next_sig(i).map(|t| t.text.as_str()) == Some("!")
-            {
-                candidates.push((
-                    i,
-                    NO_PANIC_IN_LIB,
-                    format!(
-                        "`{}!` panics; library code of `{}` must return an error instead",
-                        tok.text, crate_name
-                    ),
-                ));
-            }
+        if panic_free && panic_site(&n).is_some() {
+            let message = if n.next.is_some_and(|t| t.text == "!") {
+                format!(
+                    "`{}!` panics; library code of `{}` must return an error instead",
+                    tok.text, crate_name
+                )
+            } else {
+                format!(
+                    "`{}` can panic; library code of `{}` must propagate `UdiError` \
+                     (or carry a reasoned allow)",
+                    tok.text, crate_name
+                )
+            };
+            candidates.push((i, NO_PANIC_IN_LIB, message));
         }
 
         // deterministic-iteration
-        if is_lib
-            && DETERMINISTIC_CRATES.contains(&crate_name)
-            && is_ident
-            && matches!(tok.text.as_str(), "HashMap" | "HashSet")
-            && !in_use(i)
-        {
+        if deterministic && hash_site(&n).is_some() && !in_use(i) {
             candidates.push((
                 i,
                 DETERMINISTIC_ITERATION,
@@ -467,15 +418,11 @@ pub(crate) fn run_file_lints(
         }
 
         // float-eq
-        if is_lib
-            && FLOAT_EQ_CRATES.contains(&crate_name)
-            && tok.kind == TokenKind::Punct
-            && (tok.text == "==" || tok.text == "!=")
-        {
+        if float_eq && tok.kind == TokenKind::Punct && (tok.text == "==" || tok.text == "!=") {
             let float = |t: Option<&Token>| {
                 matches!(t.map(|t| t.kind), Some(TokenKind::Num { float: true }))
             };
-            if float(prev_sig(i)) || float(next_sig(i)) {
+            if float(n.prev) || float(n.next) {
                 candidates.push((
                     i,
                     FLOAT_EQ,
@@ -489,11 +436,7 @@ pub(crate) fn run_file_lints(
         }
 
         // no-raw-time
-        if is_lib
-            && !RAW_TIME_EXEMPT_CRATES.contains(&crate_name)
-            && is_ident
-            && matches!(tok.text.as_str(), "Instant" | "SystemTime")
-        {
+        if raw_time && clock_site(&n).is_some() {
             candidates.push((
                 i,
                 NO_RAW_TIME,
@@ -506,12 +449,7 @@ pub(crate) fn run_file_lints(
         }
 
         // no-stray-io
-        if is_lib
-            && !STRAY_IO_EXEMPT_CRATES.contains(&crate_name)
-            && is_ident
-            && IO_MACROS.contains(&tok.text.as_str())
-            && next_sig(i).map(|t| t.text.as_str()) == Some("!")
-        {
+        if stray_io && print_site(&n).is_some() {
             candidates.push((
                 i,
                 NO_STRAY_IO,

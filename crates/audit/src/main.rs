@@ -74,7 +74,7 @@ fn main() -> ExitCode {
                      [--format text|json] [--quiet] [--timings] [--bench-out FILE] [--list]\n\n\
                      All lints run by default; --allow disables one, --deny-all re-enables\n\
                      everything (the CI configuration). Pass configuration (layering,\n\
-                     panic-reachability roots, ratchet path) comes from audit.toml at the\n\
+                     effect budgets, ratchet path) comes from audit.toml at the\n\
                      workspace root. Exit codes: 0 clean (warnings allowed), 1 errors,\n\
                      2 usage/I-O/config error."
                 );

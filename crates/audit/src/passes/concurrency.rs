@@ -1,15 +1,15 @@
-//! Concurrency lints for the parallel serving layer.
+//! Concurrency lint for the parallel serving layer, scoped to lib code
+//! outside test regions.
 //!
-//! Two findings, both scoped to lib code outside test regions:
+//! **shared-mutable-static** — a `static` whose type is interior-mutable
+//! (`Mutex`, `RwLock`, atomics, `OnceLock`, …) is ambient shared state.
+//! Only crates listed under `[concurrency] interior-mutable-allowed` in
+//! `audit.toml` (by default `udi-obs`, whose global sink registry is the
+//! sanctioned singleton) may declare them. Error elsewhere.
 //!
-//! * **static-mut** — `static mut` is never acceptable; it is UB-prone
-//!   under any concurrent access and Rust 2024 deprecates taking
-//!   references to it. Error, no crate exemption.
-//! * **shared-mutable-static** — a `static` whose type is interior-mutable
-//!   (`Mutex`, `RwLock`, atomics, `OnceLock`, …) is ambient shared state.
-//!   Only crates listed under `[concurrency] interior-mutable-allowed` in
-//!   `audit.toml` (by default `udi-obs`, whose global sink registry is the
-//!   sanctioned singleton) may declare them. Error elsewhere.
+//! There is no `static mut` rule: every lib crate carries
+//! `#![forbid(unsafe_code)]`, and a `static mut` can be neither read nor
+//! written without `unsafe`.
 //!
 //! Guard-discipline checking lives in [`crate::passes::lock_order`]: an
 //! acquisition-order cycle analysis over per-function CFGs, not a
@@ -17,9 +17,7 @@
 
 use crate::classify::CodeKind;
 use crate::lexer::{Token, TokenKind};
-use crate::lints::{
-    allow_covers, test_regions, AllowDirective, Diagnostic, SHARED_MUTABLE_STATIC, STATIC_MUT,
-};
+use crate::lints::{allow_covers, test_regions, AllowDirective, Diagnostic, SHARED_MUTABLE_STATIC};
 use crate::parser::is_comment;
 use crate::Workspace;
 
@@ -44,7 +42,7 @@ pub fn run(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    // static-mut + shared-mutable-static: token scan per lib file.
+    // Token scan per lib file.
     for (fi, file) in ws.files.iter().enumerate() {
         if file.class.kind != CodeKind::Lib {
             continue;
@@ -62,24 +60,6 @@ pub fn run(
                 j += 1;
             }
             let Some(next) = tokens.get(j) else { continue };
-            if next.kind == TokenKind::Ident && next.text == "mut" {
-                let allowed = directives
-                    .get_mut(fi)
-                    .is_some_and(|ds| allow_covers(ds, STATIC_MUT, tok.line));
-                if !allowed {
-                    let mut d = Diagnostic::error(
-                        &file.rel,
-                        tok.line,
-                        tok.col,
-                        STATIC_MUT,
-                        "`static mut` is unsound under concurrent access".to_owned(),
-                    );
-                    d.notes
-                        .push("use an atomic, a `Mutex`, or a `OnceLock` instead".to_owned());
-                    diags.push(d);
-                }
-                continue;
-            }
             if next.kind != TokenKind::Ident || crate_ok {
                 continue;
             }

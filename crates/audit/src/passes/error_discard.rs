@@ -26,10 +26,8 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use super::node_exempt;
 use crate::cfg::{Cfg, StmtKind};
 use crate::classify::CodeKind;
-use crate::config::Config;
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
 use crate::lints::{allow_covers, AllowDirective, Diagnostic, Severity, ERROR_DISCARD};
@@ -40,7 +38,6 @@ use crate::Workspace;
 /// Run the pass. `cfgs` is indexed like `graph.fns`.
 pub fn run(
     ws: &Workspace,
-    cfg: &Config,
     graph: &CallGraph,
     cfgs: &[Option<Cfg>],
     ratchet: &Ratchet,
@@ -51,10 +48,7 @@ pub fn run(
     let mut used_keys: BTreeSet<String> = BTreeSet::new();
 
     for (f, node) in graph.fns.iter().enumerate() {
-        if node.in_test
-            || node.kind != CodeKind::Lib
-            || node_exempt(&cfg.error_discard_exempt, ws, node)
-        {
+        if node.in_test || node.kind != CodeKind::Lib {
             continue;
         }
         let (Some(file), Some(fcfg)) = (

@@ -31,10 +31,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use super::node_exempt;
 use crate::cfg::{Cfg, StmtKind};
 use crate::classify::CodeKind;
-use crate::config::Config;
 use crate::dataflow::{forward_may, BitSet};
 use crate::graph::scc::{reconstruct_cycle, sccs};
 use crate::graph::{crate_of_alias, CallGraph, FnNode};
@@ -87,7 +85,6 @@ struct Edge {
 /// Run the pass. `cfgs` is indexed like `graph.fns`.
 pub fn run(
     ws: &Workspace,
-    cfg: &Config,
     graph: &CallGraph,
     cfgs: &[Option<Cfg>],
     ratchet: &Ratchet,
@@ -117,10 +114,7 @@ pub fn run(
     // Pass A: per-fn acquisitions.
     let mut acqs: Vec<Vec<Acq>> = (0..n).map(|_| Vec::new()).collect();
     for (f, node) in graph.fns.iter().enumerate() {
-        if node.in_test
-            || node.kind != CodeKind::Lib
-            || node_exempt(&cfg.lock_order_exempt, ws, node)
-        {
+        if node.in_test || node.kind != CodeKind::Lib {
             continue;
         }
         let (Some(body), Some(file), Some(fcfg)) = (
@@ -219,10 +213,7 @@ pub fn run(
         if acqs.get(f).is_none_or(Vec::is_empty) {
             continue;
         }
-        if node.in_test
-            || node.kind != CodeKind::Lib
-            || node_exempt(&cfg.lock_order_exempt, ws, node)
-        {
+        if node.in_test || node.kind != CodeKind::Lib {
             continue;
         }
         let (Some(body), Some(file), Some(fcfg)) = (

@@ -10,20 +10,7 @@
 
 pub mod concurrency;
 pub mod dead_exports;
-pub mod determinism;
+pub mod effect_cert;
 pub mod error_discard;
-pub mod hot_path;
 pub mod layering;
 pub mod lock_order;
-pub mod panic_reach;
-
-use crate::config::is_exempt;
-use crate::graph::FnNode;
-use crate::Workspace;
-
-/// Whether `node` lies in a crate or module an `exempt-crates` list names
-/// (see [`is_exempt`]).
-fn node_exempt(list: &[String], ws: &Workspace, node: &FnNode) -> bool {
-    let rel = ws.files.get(node.file).map_or("", |f| f.rel.as_str());
-    is_exempt(list, &node.crate_name, rel)
-}

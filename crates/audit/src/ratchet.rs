@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Keys are pass-specific but always stable across unrelated edits:
-//! dead-export and error-discard use item/fn id-paths, determinism-cert
-//! uses the entry point's id-path, lock-order-cycle the sorted lock set.
+//! dead-export and error-discard use item/fn id-paths, effect-cert uses
+//! the entry point's id-path, lock-order-cycle the sorted lock set.
 
 use std::collections::BTreeMap;
 

@@ -16,7 +16,7 @@ static TALLY: std::sync::Mutex<u32> = std::sync::Mutex::new(0);
 
 /// Declared poison-free in audit.toml but can panic while the guard is
 /// live — the guard-range dataflow sees the held fact at the unwrap
-/// (hot-path-cert error).
+/// (effect-cert error).
 pub fn hot_tally(v: &[u32]) -> u32 {
     let g = TALLY.lock();
     let first = v.first().copied().unwrap();

@@ -1,5 +1,5 @@
 //! Fixture module `udi-alpha::sink`: named in audit.toml's effects
-//! `exempt-crates`, so its lock does not fail `udi-beta::hot_render`'s
+//! `blocking-exempt`, so its lock does not fail `udi-beta::hot_render`'s
 //! lock-free certificate.
 
 // udi-audit: allow(shared-mutable-static, "fixture: exempt sink registry")

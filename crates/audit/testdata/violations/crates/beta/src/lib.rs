@@ -2,7 +2,7 @@
 //! workspace pass. Expected diagnostics are asserted exactly in
 //! `crates/audit/tests/fixture.rs` — keep the two in sync when editing.
 
-static mut COUNTER: u32 = 0;
+// Statics for the concurrency and lock-order passes.
 
 static CACHE: std::sync::Mutex<u32> = std::sync::Mutex::new(0);
 
@@ -20,7 +20,7 @@ fn mid() -> u32 {
     udi_alpha::risky()
 }
 
-/// Indexing is a soft site; `index-sites = "warn"` makes this a warning.
+/// Indexing is a panic site like any other — an error.
 pub fn idx(v: &[u8]) -> u8 {
     v[0]
 }
@@ -73,7 +73,7 @@ pub fn discards_old() {
     fallible();
 }
 
-// udi-audit: allow(panic-reachability, "fixture: acknowledged root")
+// udi-audit: allow(effect-cert, "fixture: acknowledged root")
 pub fn suppressed_root() -> u32 {
     udi_alpha::risky()
 }
@@ -84,11 +84,11 @@ pub fn never_used() {}
 /// Dead but frozen in audit.ratchet — downgraded to a warning.
 pub fn old_debt() {}
 
-// udi-audit: allow(static-mut, "fixture: stale directive, suppresses nothing")
+// udi-audit: allow(float-eq, "fixture: stale directive, suppresses nothing")
 fn quiet() {}
 
 /// Declared lock-free in audit.toml but takes the cache mutex through
-/// `lock_helper` — hot-path-cert error with chain and site.
+/// `lock_helper` — effect-cert error with chain and site.
 pub fn hot_read() -> u32 {
     lock_helper()
 }
@@ -135,6 +135,17 @@ pub fn hot_render(x: f64) -> String {
     udi_alpha::codec::render_float(x)
 }
 
+/// Declared deterministic but reads the wall clock (and trips the local
+/// no-raw-time lint on the same line).
+pub fn certified_clock() -> u128 {
+    std::time::Instant::now().elapsed().as_nanos()
+}
+
+/// Declared deterministic but reads the environment.
+pub fn certified_env() -> bool {
+    std::env::var("UDI_FIXTURE").is_ok()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -152,13 +163,15 @@ mod tests {
             super::suppressed_root as fn() -> u32,
             super::quiet as fn(),
         );
-        let _ = (unsafe { super::COUNTER }, &super::CACHE);
+        let _ = &super::CACHE;
         let _ = (
             super::hot_read as fn() -> u32,
             super::hot_plan as fn(&str) -> usize,
             super::hot_merge as fn() -> u32,
             super::hot_stream as fn() -> u32,
             super::hot_render as fn(f64) -> String,
+            super::certified_clock as fn() -> u128,
+            super::certified_env as fn() -> bool,
             udi_alpha::hot_tally as fn(&[u32]) -> u32,
             udi_alpha::safe_tally as fn(&[u32]) -> u32,
         );

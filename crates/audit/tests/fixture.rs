@@ -1,14 +1,15 @@
 //! The deliberate-violation fixture workspace under `testdata/violations`
-//! must yield exactly its expected diagnostic set — one finding per
-//! workspace pass, the suppressed root absent, severities as configured.
+//! must yield exactly its expected diagnostic set — at least one finding
+//! per workspace pass and per effect class, the suppressed root absent,
+//! severities as configured.
 //!
 //! Keep in sync with `testdata/violations/crates/{alpha,beta}/src/`.
 
 use std::path::Path;
 
 use udi_audit::lints::{
-    Severity, CRATE_LAYERING, DEAD_EXPORT, DETERMINISM_CERT, ERROR_DISCARD, HOT_PATH_CERT,
-    LOCK_ORDER_CYCLE, PANIC_REACHABILITY, SHARED_MUTABLE_STATIC, STATIC_MUT, UNUSED_ALLOW,
+    Severity, CRATE_LAYERING, DEAD_EXPORT, EFFECT_CERT, ERROR_DISCARD, LOCK_ORDER_CYCLE,
+    NO_RAW_TIME, SHARED_MUTABLE_STATIC, UNUSED_ALLOW,
 };
 use udi_audit::{all_lints, audit_workspace, AuditReport};
 
@@ -35,26 +36,28 @@ fn fixture_yields_exactly_the_expected_diagnostics() {
             7,
             Severity::Error,
         ), // back-edge
-        (alpha, HOT_PATH_CERT, 20, Severity::Error),        // hot_tally: unwrap under guard
+        (alpha, EFFECT_CERT, 20, Severity::Error),          // hot_tally: unwrap under guard
         ("crates/beta/Cargo.toml", CRATE_LAYERING, 8, Severity::Error), // undeclared gamma
-        (beta, STATIC_MUT, 5, Severity::Error),
         (beta, SHARED_MUTABLE_STATIC, 7, Severity::Error),
-        (beta, PANIC_REACHABILITY, 15, Severity::Error), // entry
-        (beta, PANIC_REACHABILITY, 24, Severity::Warning), // idx (warn mode)
-        (beta, LOCK_ORDER_CYCLE, 31, Severity::Error),   // take_ab/take_ba inversion
-        (beta, DETERMINISM_CERT, 52, Severity::Error),   // certified → seed → HashMap
-        (beta, ERROR_DISCARD, 68, Severity::Error),      // discards: let _ =
-        (beta, ERROR_DISCARD, 73, Severity::Warning),    // discards_old (ratcheted)
-        (beta, DEAD_EXPORT, 82, Severity::Error),        // never_used
-        (beta, DEAD_EXPORT, 85, Severity::Warning),      // old_debt (ratcheted)
-        (beta, UNUSED_ALLOW, 87, Severity::Error),       // stale allow
-        (beta, HOT_PATH_CERT, 92, Severity::Error),      // hot_read → lock_helper
-        (beta, HOT_PATH_CERT, 102, Severity::Error),     // hot_plan → io_helper
-        (beta, HOT_PATH_CERT, 115, Severity::Warning),   // hot_merge spawn (ratcheted)
-        (beta, HOT_PATH_CERT, 125, Severity::Error),     // hot_stream channel
+        (beta, EFFECT_CERT, 15, Severity::Error), // entry: panic-free
+        (beta, EFFECT_CERT, 24, Severity::Error), // idx: an index panics too
+        (beta, LOCK_ORDER_CYCLE, 31, Severity::Error), // take_ab/take_ba inversion
+        (beta, EFFECT_CERT, 52, Severity::Error), // certified → seed → HashMap
+        (beta, ERROR_DISCARD, 68, Severity::Error), // discards: let _ =
+        (beta, ERROR_DISCARD, 73, Severity::Warning), // discards_old (ratcheted)
+        (beta, DEAD_EXPORT, 82, Severity::Error), // never_used
+        (beta, DEAD_EXPORT, 85, Severity::Warning), // old_debt (ratcheted)
+        (beta, UNUSED_ALLOW, 87, Severity::Error), // stale allow
+        (beta, EFFECT_CERT, 92, Severity::Error), // hot_read → lock_helper
+        (beta, EFFECT_CERT, 102, Severity::Error), // hot_plan → io_helper
+        (beta, EFFECT_CERT, 115, Severity::Warning), // hot_merge spawn (ratcheted)
+        (beta, EFFECT_CERT, 125, Severity::Error), // hot_stream channel
         // hot_render: the file read in udi-alpha::codec fails io-free; the
         // lock in udi-alpha::sink is exempt, so lock-free holds.
-        (beta, HOT_PATH_CERT, 133, Severity::Error),
+        (beta, EFFECT_CERT, 133, Severity::Error),
+        (beta, EFFECT_CERT, 140, Severity::Error), // certified_clock: deterministic
+        (beta, NO_RAW_TIME, 141, Severity::Error), // ... and its `Instant` site
+        (beta, EFFECT_CERT, 145, Severity::Error), // certified_env: deterministic
     ];
     assert_eq!(
         got,
@@ -66,18 +69,25 @@ fn fixture_yields_exactly_the_expected_diagnostics() {
             .map(|d| format!("{d}\n"))
             .collect::<String>()
     );
-    assert_eq!(report.errors().count(), 16);
-    assert_eq!(report.warnings().count(), 4);
+    assert_eq!(report.errors().count(), 19);
+    assert_eq!(report.warnings().count(), 3);
     assert!(!report.is_clean());
 }
 
 #[test]
 fn hot_path_cert_names_budget_chain_and_site() {
     let report = fixture_report();
+    let blocking = [
+        "lock-free",
+        "io-free",
+        "spawn-free",
+        "channel-free",
+        "poison-free",
+    ];
     let certs: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.lint == HOT_PATH_CERT)
+        .filter(|d| d.lint == EFFECT_CERT && blocking.iter().any(|b| d.message.contains(b)))
         .collect();
     assert_eq!(certs.len(), 6, "{certs:?}");
 
@@ -101,7 +111,7 @@ fn hot_path_cert_names_budget_chain_and_site() {
         lock.notes
     );
 
-    // The poison violation sits in the root itself — no chain note, and
+    // The poison violation sits in the root itself — a one-hop chain, and
     // the site names the guard variable.
     let poison = certs
         .iter()
@@ -112,8 +122,9 @@ fn hot_path_cert_names_budget_chain_and_site() {
         "declared poison-free entry `udi-alpha::hot_tally` can reach a panic under a held lock \
          guard (mutex poison)"
     );
+    assert_eq!(poison.notes[0], "call chain: udi-alpha::hot_tally");
     assert!(
-        poison.notes[0].starts_with("site: `.unwrap()` while guard `g` is held (poisons the lock)"),
+        poison.notes[1].starts_with("site: `.unwrap()` while guard `g` is held (poisons the lock)"),
         "{:?}",
         poison.notes
     );
@@ -148,15 +159,29 @@ fn reachability_diagnostic_carries_the_full_call_chain() {
     let entry = report
         .diagnostics
         .iter()
-        .find(|d| d.lint == PANIC_REACHABILITY && d.severity == Severity::Error)
+        .find(|d| d.lint == EFFECT_CERT && d.message.contains("`udi-beta::entry`"))
         .expect("entry diagnostic");
+    assert_eq!(
+        entry.message,
+        "declared panic-free entry `udi-beta::entry` can reach a panic"
+    );
     assert_eq!(
         entry.notes[0],
         "call chain: udi-beta::entry → udi-beta::mid → udi-alpha::risky"
     );
     assert_eq!(
         entry.notes[1],
-        "panics at crates/alpha/src/lib.rs:11:13 (`unwrap`)"
+        "site: `.unwrap()` at crates/alpha/src/lib.rs:11:13"
+    );
+    let idx = report
+        .diagnostics
+        .iter()
+        .find(|d| d.message.contains("`udi-beta::idx`"))
+        .expect("index diagnostic");
+    assert_eq!(idx.severity, Severity::Error);
+    assert_eq!(
+        idx.notes[1],
+        "site: `[…]` index at crates/beta/src/lib.rs:25:6"
     );
 }
 
@@ -193,22 +218,40 @@ fn lock_order_cycle_reports_both_edges_with_provenance() {
 #[test]
 fn determinism_failure_names_chain_and_site() {
     let report = fixture_report();
-    let cert = report
+    let certs: Vec<_> = report
         .diagnostics
         .iter()
-        .find(|d| d.lint == DETERMINISM_CERT)
-        .expect("determinism diagnostic");
+        .filter(|d| d.lint == EFFECT_CERT && d.message.contains("deterministic"))
+        .collect();
+    assert_eq!(certs.len(), 3, "{certs:?}");
+    let (hash, clock, env) = (certs[0], certs[1], certs[2]);
     assert_eq!(
-        cert.message,
+        hash.message,
         "declared deterministic entry `udi-beta::certified` can reach hash-ordered iteration"
     );
     assert_eq!(
-        cert.notes[0],
+        hash.notes[0],
         "call chain: udi-beta::certified → udi-beta::seed"
     );
     assert_eq!(
-        cert.notes[1],
-        "site: `HashMap` at crates/beta/src/lib.rs:57:30 (hash-ordered iteration)"
+        hash.notes[1],
+        "site: `HashMap` at crates/beta/src/lib.rs:57:30"
+    );
+    assert_eq!(
+        clock.message,
+        "declared deterministic entry `udi-beta::certified_clock` can reach a raw clock read"
+    );
+    assert_eq!(
+        clock.notes[1],
+        "site: `Instant` at crates/beta/src/lib.rs:141:16"
+    );
+    assert_eq!(
+        env.message,
+        "declared deterministic entry `udi-beta::certified_env` can reach an environment read"
+    );
+    assert_eq!(
+        env.notes[1],
+        "site: `env::var` at crates/beta/src/lib.rs:146:15"
     );
 }
 
@@ -235,7 +278,7 @@ fn error_discard_distinguishes_let_from_bare_statement() {
 #[test]
 fn allowed_root_is_suppressed() {
     // `suppressed_root` reaches the same unwrap as `entry` but carries a
-    // reasoned allow(panic-reachability) — it must not appear at all, and
+    // reasoned allow(effect-cert) — it must not appear at all, and
     // the directive must not be flagged unused. Likewise the two
     // shared-mutable-static allows on the lock-order scaffolding statics.
     let report = fixture_report();
@@ -264,19 +307,18 @@ fn json_rendering_is_parseable_shape() {
     let report = fixture_report();
     let json = report.to_json();
     assert!(json.starts_with("{\"files_scanned\":4,"), "{json}");
-    assert!(json.contains("\"errors\":16"), "{json}");
-    assert!(json.contains("\"warnings\":4"), "{json}");
-    assert!(json.contains("\"lint\":\"panic-reachability\""), "{json}");
+    assert!(json.contains("\"errors\":19"), "{json}");
+    assert!(json.contains("\"warnings\":3"), "{json}");
+    assert!(json.contains("\"lint\":\"effect-cert\""), "{json}");
     // Per-lint counts ride in the summary for CI dashboards.
     assert!(json.contains("\"by_lint\":{"), "{json}");
     assert!(json.contains("\"lock-order-cycle\":1"), "{json}");
-    assert!(json.contains("\"determinism-cert\":1"), "{json}");
     assert!(json.contains("\"error-discard\":2"), "{json}");
-    assert!(json.contains("\"hot-path-cert\":6"), "{json}");
+    assert!(json.contains("\"effect-cert\":11"), "{json}");
     // Notes with special characters survive escaping (the → arrow is
     // plain UTF-8; quotes and backslashes are escaped).
     assert!(json.contains("call chain: udi-beta::entry"), "{json}");
-    assert_eq!(json.matches("\"severity\":\"warning\"").count(), 4);
+    assert_eq!(json.matches("\"severity\":\"warning\"").count(), 3);
 }
 
 #[test]

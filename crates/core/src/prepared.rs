@@ -155,7 +155,7 @@ impl Node {
 /// and are treated as misses once the engine generation moves. Readers
 /// never block: every traversal is a sequence of `OnceLock::get` atomic
 /// loads, which is what lets `UdiSystem::answer*` certify lock-free under
-/// the `hot-path-cert` audit pass. Writers publish with `OnceLock::set`;
+/// the `effect-cert` audit pass. Writers publish with `OnceLock::set`;
 /// two racing compiles of one key both succeed and the later append
 /// shadows the earlier (both plans are identical by construction).
 #[derive(Debug)]
@@ -315,7 +315,7 @@ impl Clone for PlanCache {
 /// summed `(tuples scanned, answers produced)` counters.
 ///
 /// This is the executor behind every `UdiSystem::answer*` path: it spawns
-/// no threads and takes no locks, so the `hot-path-cert` audit pass can
+/// no threads and takes no locks, so the `effect-cert` audit pass can
 /// prove the whole read path quiescent. A plan/catalog shape mismatch
 /// degrades to an empty binding set rather than panicking (counted as
 /// `query.plan.shape_mismatch`). When a user trace sink is installed, each

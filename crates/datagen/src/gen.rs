@@ -192,7 +192,7 @@ pub fn generate_with_concepts(
                     }
                 })
                 .collect();
-            // udi-audit: allow(panic-reachability, "row is built by mapping the table's own attrs, so the arity always matches")
+            // udi-audit: allow(effect-cert, "row is built by mapping the table's own attrs, so the arity always matches")
             table.push_row(row).expect("arity by construction");
         }
         // Generated corpora are bounded far below the u32 id space; if

@@ -243,7 +243,7 @@ pub fn scale_source(cfg: &ScaleConfig, i: usize) -> Table {
                 }
             })
             .collect();
-        // udi-audit: allow(panic-reachability, "row is built by mapping the table's own attrs, so the arity always matches")
+        // udi-audit: allow(effect-cert, "row is built by mapping the table's own attrs, so the arity always matches")
         table.push_row(row).expect("arity by construction");
     }
     table

@@ -98,6 +98,9 @@ pub enum RequestError {
     UnknownOp(String),
     /// The `path` field names no known answer path.
     UnknownPath(String),
+    /// The line ran past the server's length cap (in bytes) before its
+    /// newline; the server answers and closes the connection.
+    TooLong(usize),
 }
 
 impl std::fmt::Display for RequestError {
@@ -109,6 +112,7 @@ impl std::fmt::Display for RequestError {
             RequestError::Bad(field, why) => write!(f, "bad field `{field}`: {why}"),
             RequestError::UnknownOp(op) => write!(f, "unknown op `{op}`"),
             RequestError::UnknownPath(p) => write!(f, "unknown path `{p}`"),
+            RequestError::TooLong(cap) => write!(f, "request line longer than {cap} bytes"),
         }
     }
 }

@@ -30,13 +30,18 @@
 //! cannot sit ahead of reads in the queue. Readers keep answering on the
 //! old snapshot for the whole rebuild and only ever see atomic publishes.
 //!
+//! A request line is read with a length cap (`MAX_LINE_BYTES`, 128 KiB):
+//! a line that runs past it is answered with [`RequestError::TooLong`] and
+//! the connection is closed, so a client that never sends a newline
+//! cannot grow server memory without bound.
+//!
 //! No clocks are read here: latency is the client's to measure (the bench
 //! harness owns the stopwatch), and the serving path stays inside the
 //! workspace's no-raw-time perimeter.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -44,6 +49,11 @@ use std::thread::{Builder, JoinHandle};
 
 use crate::proto::{error_response, parse_request, shed_response, Op, Request, RequestError};
 use crate::state::{handle_into, ServeState};
+
+/// Longest request line the server reads, newline excluded: 128 KiB.
+/// The largest request the bench harnesses send is an `add_source` of 8
+/// corpus rows, about 1 KiB, so this leaves over 100× headroom.
+const MAX_LINE_BYTES: usize = 128 * 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -279,15 +289,54 @@ enum WriteHalf {
     Lent(Receiver<TcpStream>),
 }
 
+/// One bounded read off a connection.
+enum LineRead {
+    /// A line, without its `\n` (or `\r\n`); also the unterminated tail
+    /// before EOF.
+    Line(String),
+    /// [`MAX_LINE_BYTES`] bytes went by without a newline.
+    TooLong,
+    /// EOF, a read error, or a line that is not UTF-8.
+    End,
+}
+
+/// Reads the next line into `buf`, consuming at most [`MAX_LINE_BYTES`]
+/// + 1 bytes of it.
+fn read_line_capped<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return LineRead::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return LineRead::TooLong;
+    }
+    match String::from_utf8(std::mem::take(buf)) {
+        Ok(line) => LineRead::Line(line),
+        Err(_) => LineRead::End,
+    }
+}
+
 fn connection_loop(stream: TcpStream, state: &ServeState, queue: &Arc<JobQueue>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let mut half = WriteHalf::Idle(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line_capped(&mut reader, &mut buf) {
+            LineRead::Line(line) => Ok(line),
+            LineRead::TooLong => Err(RequestError::TooLong(MAX_LINE_BYTES)),
+            LineRead::End => break,
+        };
+        if line.as_deref().is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         // One job in flight: the write half goes with the job, and the
@@ -302,6 +351,21 @@ fn connection_loop(stream: TcpStream, state: &ServeState, queue: &Arc<JobQueue>)
                 Ok(out) => out,
                 Err(_) => break,
             },
+        };
+        let line = match line {
+            Ok(line) => line,
+            Err(too_long) => {
+                // The rest of the line is unread, so the stream cannot be
+                // resynchronized: answer, then hang up.
+                let mut out = out;
+                state.recorder().count("serve.bad_request", 1);
+                let mut reply = error_response(None, &too_long.to_string()).render();
+                reply.push('\n');
+                if write_reply(&mut out, &reply).is_ok() {
+                    out.shutdown(Shutdown::Write).ok();
+                }
+                break;
+            }
         };
         let (done, returned) = mpsc::channel();
         half = match queue.try_push(Job { line, out, done }) {
@@ -587,6 +651,55 @@ mod tests {
         assert!(replies[0].contains(r#""ok":false"#));
         assert!(replies[1].contains(r#""id":9"#), "{}", replies[1]);
         assert!(state.counters().get("serve.bad_request") >= 1);
+    }
+
+    /// A client that sends `MAX_LINE_BYTES + 1` bytes with no newline gets
+    /// a typed error reply and a closed connection; a second client on
+    /// the same server is still answered.
+    #[test]
+    fn over_long_line_is_refused_and_the_server_keeps_serving() {
+        let state = tiny_state();
+        let server = Server::start(state.clone(), ServerConfig::default()).unwrap();
+        let mut hog = TcpStream::connect(server.addr()).unwrap();
+        hog.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        hog.flush().unwrap();
+        let mut reader = BufReader::new(hog);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let expected = error_response(None, &RequestError::TooLong(MAX_LINE_BYTES).to_string());
+        assert_eq!(reply.trim_end(), expected.render());
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "closed: {rest}");
+
+        let replies = roundtrip(server.addr(), &[r#"{"op":"stats","tenant":"t0","id":7}"#]);
+        assert!(replies[0].contains(r#""id":7"#), "{}", replies[0]);
+        assert!(state.counters().get("serve.bad_request") >= 1);
+    }
+
+    /// Lines are split on `\n` and `\r\n`; a line of exactly the cap is
+    /// read whole, one byte more is refused.
+    #[test]
+    fn capped_reads_split_lines_and_stop_at_the_cap() {
+        let mut input: &[u8] = b"a\r\nb\n\ntail";
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let LineRead::Line(l) = read_line_capped(&mut input, &mut buf) {
+            lines.push(l);
+        }
+        assert_eq!(lines, ["a", "b", "", "tail"]);
+
+        let mut exact = vec![b'y'; MAX_LINE_BYTES];
+        exact.push(b'\n');
+        let mut input: &[u8] = &exact;
+        assert!(
+            matches!(read_line_capped(&mut input, &mut buf), LineRead::Line(l) if l.len() == MAX_LINE_BYTES)
+        );
+        let over = vec![b'y'; MAX_LINE_BYTES + 1];
+        let mut input: &[u8] = &over;
+        assert!(matches!(
+            read_line_capped(&mut input, &mut buf),
+            LineRead::TooLong
+        ));
     }
 
     #[test]

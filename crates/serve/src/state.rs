@@ -11,7 +11,7 @@
 //! snapshot), and publish by replacing the whole `Arc<Tenant>` record in
 //! the tenant map. A reader therefore always sees a complete generation,
 //! old or new, never a torn one — and the read path is certified
-//! **lock-free + io-free + spawn-free** by udi-audit's `hot-path-cert`
+//! **lock-free + io-free + spawn-free** by udi-audit's `effect-cert`
 //! pass (`audit.toml [effects]`), not just by convention.
 //!
 //! [`handle_into`] is the server's dispatcher: it opens a `serve.request`
@@ -23,7 +23,7 @@
 //! buffer, and [`execute_answer`] renders a [`Json`] tree instead, kept as
 //! the oracle the identity tests and benches compare the wire against.
 //! [`handle`] is the matching `Json`-valued dispatcher. Both answer
-//! entries are certified deterministic (`audit.toml [determinism]`):
+//! entries are certified deterministic (`audit.toml [effects]`):
 //! everything reachable from them sticks to order-stable containers and
 //! injected clocks. The dispatchers themselves are deliberately *not*
 //! certified entries — the tenant-map lookup takes the map lock;

@@ -30,7 +30,7 @@ fn workspace_tree_is_audit_clean() {
     }
 
     // The lex-once contract: the whole audit — file lints, call graph,
-    // CFG construction, and all seven workspace passes — lexes each file
+    // CFG construction, and all six workspace passes — lexes each file
     // exactly once.
     assert_eq!(
         report.lex_count, report.files_scanned,
@@ -45,14 +45,12 @@ fn workspace_tree_is_audit_clean() {
         "audit.pass.file-lints",
         "audit.graph.call",
         "audit.cfg.build",
-        "audit.pass.panic-reachability",
         "audit.pass.crate-layering",
         "audit.pass.concurrency",
         "audit.pass.lock-order",
-        "audit.pass.determinism",
+        "audit.pass.effect-cert",
         "audit.pass.error-discard",
         "audit.pass.dead-exports",
-        "audit.pass.hot-path-cert",
     ] {
         let stat = summary
             .span(span)

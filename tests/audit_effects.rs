@@ -18,7 +18,7 @@ use udi_audit::effects::{solve, Effect, EffectSet};
 /// Cap on generated graph size; raw indices are folded modulo `n`.
 const CAP: usize = 20;
 
-fn effect_set(code: u8) -> EffectSet {
+fn effect_set(code: u16) -> EffectSet {
     let mut s = EffectSet::EMPTY;
     for (i, e) in Effect::ALL.into_iter().enumerate() {
         if code & (1 << i) != 0 {
@@ -52,7 +52,7 @@ proptest! {
     fn effect_inference_is_deterministic_sound_and_monotone(
         n in 1usize..CAP,
         raw_edges in proptest::collection::vec((0usize..64, 0usize..64), 0..60),
-        raw_locals in proptest::collection::vec(0u8..32, CAP..CAP + 1),
+        raw_locals in proptest::collection::vec(0u16..1 << Effect::ALL.len(), CAP..CAP + 1),
         raw_extra in (0usize..64, 0usize..64),
     ) {
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];

@@ -1,5 +1,5 @@
 //! Property tests for udi-audit's recursive-descent item parser, plus
-//! call-chain rendering tests for the panic-reachability pass on a
+//! call-chain rendering tests for the panic-free effect certificate on a
 //! synthetic in-memory workspace.
 //!
 //! The parser invariant under test: for any soup of well-formed items —
@@ -12,9 +12,9 @@ use proptest::prelude::*;
 
 use udi_audit::config::Config;
 use udi_audit::lexer::lex;
-use udi_audit::lints::PANIC_REACHABILITY;
+use udi_audit::lints::EFFECT_CERT;
 use udi_audit::parser::{parse_items, Item, ItemKind, Vis};
-use udi_audit::{all_lints, run_audit, CodeKind, FileClass, IndexMode, SourceFile, Workspace};
+use udi_audit::{all_lints, run_audit, CodeKind, FileClass, SourceFile, Workspace};
 
 /// One generated item with the facts the parser must recover.
 #[derive(Debug, Clone)]
@@ -190,16 +190,7 @@ fn mem_file(crate_name: &str, rel: &str, src: &str) -> SourceFile {
 
 fn reach_config(crates: &[&str]) -> Config {
     Config {
-        layers: Default::default(),
-        reach_crates: crates.iter().map(|s| (*s).to_owned()).collect(),
-        index_sites: IndexMode::Off,
-        interior_mutable_allowed: vec!["udi-obs".to_owned()],
-        determinism_entries: Vec::new(),
-        determinism_exempt: vec!["udi-obs".to_owned()],
-        lock_order_exempt: Vec::new(),
-        error_discard_exempt: Vec::new(),
-        ratchet: None,
-        source: None,
+        panic_free: crates.iter().map(|s| (*s).to_owned()).collect(),
         ..Config::default()
     }
 }
@@ -240,7 +231,7 @@ fn call_chain_renders_shortest_path_root_first() {
     let reach: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.lint == PANIC_REACHABILITY)
+        .filter(|d| d.lint == EFFECT_CERT)
         .collect();
     assert_eq!(reach.len(), 1, "{:?}", report.diagnostics);
     let d = reach[0];
@@ -250,15 +241,19 @@ fn call_chain_renders_shortest_path_root_first() {
         "call chain: udi-core::outer → udi-core::inner → udi-similarity::boom"
     );
     assert_eq!(
+        d.message,
+        "declared panic-free entry `udi-core::outer` can reach a panic"
+    );
+    assert_eq!(
         d.notes[1],
-        "panics at crates/similarity/src/lib.rs:1:32 (`unwrap`)"
+        "site: `.unwrap()` at crates/similarity/src/lib.rs:1:32"
     );
 }
 
 #[test]
 fn direct_panic_renders_single_hop_chain() {
     // The local no-panic-in-lib lint fires on the same site; the
-    // reachability diagnostic must still render a one-element chain.
+    // certificate must still render a one-element chain.
     let ws = synthetic_workspace(vec![mem_file(
         "udi-core",
         "crates/core/src/lib.rs",
@@ -274,11 +269,8 @@ fn direct_panic_renders_single_hop_chain() {
     let d = report
         .diagnostics
         .iter()
-        .find(|d| d.lint == PANIC_REACHABILITY)
-        .expect("reachability diagnostic");
+        .find(|d| d.lint == EFFECT_CERT)
+        .expect("certificate diagnostic");
     assert_eq!(d.notes[0], "call chain: udi-core::direct");
-    assert_eq!(
-        d.notes[1],
-        "panics at crates/core/src/lib.rs:1:19 (`panic!`)"
-    );
+    assert_eq!(d.notes[1], "site: `panic!` at crates/core/src/lib.rs:1:19");
 }
