@@ -80,7 +80,8 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         name: DETERMINISTIC_ITERATION,
         summary: "HashMap/HashSet iteration order is nondeterministic; probability-producing \
-                  crates must use BTreeMap/BTreeSet (or justify lookup-only use)",
+                  crates (core, schema, maxent, query) must use BTreeMap/BTreeSet (or justify \
+                  lookup-only use)",
     },
     LintInfo {
         name: FLOAT_EQ,
@@ -254,8 +255,9 @@ pub const PANIC_FREE_CRATES: &[&str] = &[
 ];
 
 /// Probability-producing crates where map iteration order reaches
-/// p-mapping enumeration, consolidation, or answer sets.
-pub const DETERMINISTIC_CRATES: &[&str] = &["udi-core", "udi-schema", "udi-maxent"];
+/// p-mapping enumeration, consolidation, or answer sets (udi-query
+/// executes and accumulates every answer).
+pub const DETERMINISTIC_CRATES: &[&str] = &["udi-core", "udi-schema", "udi-maxent", "udi-query"];
 
 /// Crates whose floats are probabilities (or derived from them).
 pub const FLOAT_EQ_CRATES: &[&str] = &[

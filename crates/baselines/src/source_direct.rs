@@ -1,7 +1,7 @@
 //! The `Source` baseline of §7.3: pose the query directly on every source
 //! that contains all the query's attributes, union the answers.
 
-use udi_query::{execute_with_binding, AnswerSet, Binding, Query, SourceAccumulator};
+use udi_query::{execute, AnswerSet, Query, SourceAccumulator};
 use udi_store::Catalog;
 
 use crate::Integrator;
@@ -33,13 +33,13 @@ impl Integrator for SourceDirect<'_> {
 
     fn answer(&self, query: &Query) -> AnswerSet {
         let mut set = AnswerSet::new();
-        let needed = query.referenced_attributes();
         for (sid, table) in self.catalog.iter_sources() {
-            if !needed.iter().all(|a| table.has_attribute(a)) {
+            // The identity binding: a source lacking a query attribute
+            // cannot answer.
+            let Some(columns) = query.columns(|a| table.attribute_index(a)) else {
                 continue;
-            }
-            let binding = Binding::identity(table);
-            let rows = execute_with_binding(table, query, &binding);
+            };
+            let rows = execute(table, query, &columns).into_iter().map(|(_, r)| r);
             let mut acc = SourceAccumulator::new();
             acc.add_mapping(rows, 1.0);
             set.add_source(sid, acc.finish());

@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use udi_query::{
-    execute_aggregate_with_binding, execute_with_binding, execute_with_binding_indexed,
-    AggregateQuery, AnswerSet, AnswerTuple, Binding, ParseError, Query, SourceAccumulator,
-    TupleAccumulator,
+    execute, execute_aggregate, AggregateQuery, AnswerSet, AnswerTuple, ParseError, Query,
+    SourceAccumulator, TupleAccumulator,
 };
 use udi_schema::{AttrId, Mapping, MediatedSchema};
 use udi_store::{Row, Table};
@@ -104,6 +103,15 @@ impl<'q> Parsed<'q> {
         match self {
             Parsed::Select(q) => q.referenced_attributes(),
             Parsed::Aggregate(q) => q.referenced_attributes(),
+        }
+    }
+
+    /// The query's clause-order columns under `resolve` (see
+    /// [`Query::columns`]).
+    fn columns(self, resolve: impl FnMut(&str) -> Option<usize>) -> Option<Vec<usize>> {
+        match self {
+            Parsed::Select(q) => q.columns(resolve),
+            Parsed::Aggregate(q) => q.columns(resolve),
         }
     }
 }
@@ -293,17 +301,17 @@ impl UdiSystem {
                     unmapped += p;
                     continue;
                 }
-                let mut binding = Binding::new();
                 let pairs: Vec<(String, String)> = attrs
                     .iter()
                     .zip(sig.iter())
                     .filter_map(|(a, id)| {
-                        let name = self.schema_set().vocab().name((*id)?).to_owned();
-                        binding.bind(*a, name.clone());
-                        Some(((*a).to_owned(), name))
+                        let name = self.schema_set().vocab().name((*id)?);
+                        Some(((*a).to_owned(), name.to_owned()))
                     })
                     .collect();
-                let n_rows = execute_with_binding(table, query, &binding).len();
+                let n_rows = self
+                    .lower(Parsed::Select(query), &attrs, sig, table)
+                    .map_or(0, |columns| execute(table, query, &columns).len());
                 bindings.push(BindingExplanation {
                     probability: p,
                     pairs,
@@ -327,18 +335,10 @@ impl UdiSystem {
 
     /// Map each referenced query attribute to its cluster index in `med`.
     /// `None` when some attribute is unknown or unclustered.
-    fn resolve_attr_clusters(
-        &self,
-        attrs: &[&str],
-        med: &MediatedSchema,
-    ) -> Option<Vec<(String, usize)>> {
+    fn resolve_attr_clusters(&self, attrs: &[&str], med: &MediatedSchema) -> Option<Vec<usize>> {
         attrs
             .iter()
-            .map(|a| {
-                let id = self.schema_set().vocab().id_of(a)?;
-                let cluster = med.cluster_of(id)?;
-                Some(((*a).to_owned(), cluster))
-            })
+            .map(|a| med.cluster_of(self.schema_set().vocab().id_of(a)?))
             .collect()
     }
 
@@ -353,34 +353,53 @@ impl UdiSystem {
             || {
                 let attrs = query.referenced_attributes();
                 match pooling {
-                    Pooling::Consolidated => self.compile_consolidated(&attrs),
-                    Pooling::Pmed => self.compile_pmed(&attrs),
-                    Pooling::TopMapping => self.compile_top_mapping(&attrs),
+                    Pooling::Consolidated => self.compile_consolidated(query, &attrs),
+                    Pooling::Pmed => self.compile_pmed(query, &attrs),
+                    Pooling::TopMapping => self.compile_top_mapping(query, &attrs),
                 }
             },
         )
     }
 
+    /// Lower one pooled signature to the binding form execution reads: the
+    /// column of `table` each attribute of `query` is bound to, in clause
+    /// order. The signature names a source attribute per entry of `attrs`;
+    /// its column is found through the attribute's vocabulary name. `None`
+    /// when the signature leaves an attribute unbound or names a column
+    /// `table` lacks — the source cannot answer under it.
+    fn lower(
+        &self,
+        query: Parsed<'_>,
+        attrs: &[&str],
+        sig: &[Option<AttrId>],
+        table: &Table,
+    ) -> Option<Vec<usize>> {
+        query.columns(|a| {
+            let at = attrs.iter().position(|&x| x == a)?;
+            let id = (*sig.get(at)?)?;
+            table.attribute_index(self.schema_set().vocab().name(id))
+        })
+    }
+
     /// Lower one source's pooled signature map into execution-ready
-    /// bindings: drop zero-mass and incomplete signatures, resolve ids to
-    /// source attribute names. Iterates the `BTreeMap` in key order, so the
-    /// binding list preserves exactly the order the sequential path used.
+    /// bindings: drop zero-mass signatures and those `lower` rejects.
+    /// Iterates the `BTreeMap` in key order, so the binding list preserves
+    /// exactly the order the sequential path used.
     fn pooled_to_bindings(
         &self,
+        query: Parsed<'_>,
         attrs: &[&str],
+        table: &Table,
         pooled: BTreeMap<Vec<Option<AttrId>>, f64>,
     ) -> SourceBindings {
         let mut out = Vec::with_capacity(pooled.len());
         for (sig, p) in pooled {
-            if p <= 0.0 || sig.iter().any(Option::is_none) {
+            if p <= 0.0 {
                 continue;
             }
-            let mut binding = Binding::new();
-            for (a, id) in attrs.iter().zip(sig.iter()) {
-                let Some(id) = *id else { continue };
-                binding.bind(*a, self.schema_set().vocab().name(id));
+            if let Some(columns) = self.lower(query, attrs, &sig, table) {
+                out.push((columns, p));
             }
-            out.push((binding, p));
         }
         out
     }
@@ -390,7 +409,7 @@ impl UdiSystem {
     fn pool_consolidated(
         &self,
         source: usize,
-        clusters: &[(String, usize)],
+        clusters: &[usize],
     ) -> BTreeMap<Vec<Option<AttrId>>, f64> {
         let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
         for (m, p) in self.consolidated_pmapping(source).mappings() {
@@ -401,13 +420,14 @@ impl UdiSystem {
 
     /// Compile for the consolidated path: one pooled signature map per
     /// source from its consolidated p-mapping.
-    fn compile_consolidated(&self, attrs: &[&str]) -> Option<QueryPlan> {
+    fn compile_consolidated(&self, query: Parsed<'_>, attrs: &[&str]) -> Option<QueryPlan> {
         let clusters = self.resolve_attr_clusters(attrs, self.consolidated())?;
         let per_source = self
             .catalog()
             .iter_sources()
-            .map(|(sid, _)| {
-                self.pooled_to_bindings(attrs, self.pool_consolidated(sid.0 as usize, &clusters))
+            .map(|(sid, table)| {
+                let pooled = self.pool_consolidated(sid.0 as usize, &clusters);
+                self.pooled_to_bindings(query, attrs, table, pooled)
             })
             .collect();
         Some(QueryPlan { per_source })
@@ -416,8 +436,8 @@ impl UdiSystem {
     /// schema, weighting each mapping by its schema's probability. A schema
     /// that cannot resolve the query contributes nothing; if none can, the
     /// query is unanswerable.
-    fn compile_pmed(&self, attrs: &[&str]) -> Option<QueryPlan> {
-        let resolved: Vec<Option<Vec<(String, usize)>>> = self
+    fn compile_pmed(&self, query: Parsed<'_>, attrs: &[&str]) -> Option<QueryPlan> {
+        let resolved: Vec<Option<Vec<usize>>> = self
             .pmed()
             .schemas()
             .iter()
@@ -429,7 +449,7 @@ impl UdiSystem {
         let per_source = self
             .catalog()
             .iter_sources()
-            .map(|(sid, _)| {
+            .map(|(sid, table)| {
                 let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
                 for (i, (_, p_schema)) in self.pmed().schemas().iter().enumerate() {
                     let Some(clusters) = resolved.get(i).and_then(Option::as_ref) else {
@@ -440,7 +460,7 @@ impl UdiSystem {
                             p * p_schema;
                     }
                 }
-                self.pooled_to_bindings(attrs, pooled)
+                self.pooled_to_bindings(query, attrs, table, pooled)
             })
             .collect();
         Some(QueryPlan { per_source })
@@ -448,16 +468,16 @@ impl UdiSystem {
 
     /// Compile for the top-mapping baseline: each source's single most
     /// probable mapping, taken as certain.
-    fn compile_top_mapping(&self, attrs: &[&str]) -> Option<QueryPlan> {
+    fn compile_top_mapping(&self, query: Parsed<'_>, attrs: &[&str]) -> Option<QueryPlan> {
         let clusters = self.resolve_attr_clusters(attrs, self.consolidated())?;
         let per_source = self
             .catalog()
             .iter_sources()
-            .map(|(sid, _)| {
+            .map(|(sid, table)| {
                 let pm = self.consolidated_pmapping(sid.0 as usize);
                 let mut pooled: BTreeMap<Vec<Option<AttrId>>, f64> = BTreeMap::new();
                 pooled.insert(binding_signature(pm.top_mapping(), &clusters), 1.0);
-                self.pooled_to_bindings(attrs, pooled)
+                self.pooled_to_bindings(query, attrs, table, pooled)
             })
             .collect();
         Some(QueryPlan { per_source })
@@ -466,49 +486,45 @@ impl UdiSystem {
 
 /// Execute one source under its pooled bindings — the only step in which
 /// the paths' execution differs: by-tuple combines rows as independent
-/// events, every other path accumulates by-table, and an aggregate differs
-/// from a select only in the call that produces the rows.
+/// events (see [`UdiSystem::answer_by_tuple`]), every other path
+/// accumulates by-table, and an aggregate differs from a select only in the
+/// call that produces the rows. Each binding scans the whole table.
 fn execute_source(
     path: AnswerPath,
     query: Parsed<'_>,
     table: &Table,
-    bindings: &[(Binding, f64)],
+    bindings: &[(Vec<usize>, f64)],
 ) -> (Vec<AnswerTuple>, u64) {
-    match (path, query) {
-        (AnswerPath::ByTuple, Parsed::Select(q)) => by_tuple(table, q, bindings),
-        (_, Parsed::Select(q)) => by_table(table, bindings, |b| execute_with_binding(table, q, b)),
-        (_, Parsed::Aggregate(q)) => by_table(table, bindings, |b| {
-            execute_aggregate_with_binding(table, q, b)
+    let scanned = (bindings.len() * table.row_count()) as u64;
+    let tuples = match (path, query) {
+        (AnswerPath::ByTuple, Parsed::Select(q)) => {
+            let mut acc = TupleAccumulator::new();
+            for (columns, p) in bindings {
+                acc.add_mapping(execute(table, q, columns), *p);
+            }
+            acc.finish()
+        }
+        (_, Parsed::Select(q)) => by_table(bindings, |columns| {
+            execute(table, q, columns).into_iter().map(|(_, row)| row)
         }),
-    }
+        (_, Parsed::Aggregate(q)) => {
+            by_table(bindings, |columns| execute_aggregate(table, q, columns))
+        }
+    };
+    (tuples, scanned)
 }
 
-/// By-table accumulation over one source: run once per pooled binding and
-/// add each binding's rows with its probability.
-fn by_table(
-    table: &Table,
-    bindings: &[(Binding, f64)],
-    rows: impl Fn(&Binding) -> Vec<Row>,
-) -> (Vec<AnswerTuple>, u64) {
+/// By-table accumulation over one source: add each binding's rows with its
+/// probability.
+fn by_table<R: IntoIterator<Item = Row>>(
+    bindings: &[(Vec<usize>, f64)],
+    rows: impl Fn(&[usize]) -> R,
+) -> Vec<AnswerTuple> {
     let mut acc = SourceAccumulator::new();
-    let mut scanned = 0u64;
-    for (binding, p) in bindings {
-        scanned += table.row_count() as u64;
-        acc.add_mapping(rows(binding), *p);
+    for (columns, p) in bindings {
+        acc.add_mapping(rows(columns), *p);
     }
-    (acc.finish(), scanned)
-}
-
-/// By-tuple combination over one source (see
-/// [`UdiSystem::answer_by_tuple`]).
-fn by_tuple(table: &Table, query: &Query, bindings: &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64) {
-    let mut acc = TupleAccumulator::new();
-    let mut scanned = 0u64;
-    for (binding, p) in bindings {
-        scanned += table.row_count() as u64;
-        acc.add_mapping(execute_with_binding_indexed(table, query, binding), *p);
-    }
-    (acc.finish(), scanned)
+    acc.finish()
 }
 
 /// How one source would answer a query (see [`UdiSystem::explain`]).
@@ -573,13 +589,13 @@ impl std::fmt::Display for Explanation {
     }
 }
 
-/// The binding a mapping induces on the query's clusters: for each
-/// `(query attr, cluster)`, the unique source attribute mapped to that
-/// cluster, if any. Mappings inducing the same signature are
-/// probability-pooled before execution (they are indistinguishable to the
-/// query), which keeps answering fast even when p-mappings are large.
-fn binding_signature(m: &Mapping, clusters: &[(String, usize)]) -> Vec<Option<AttrId>> {
-    clusters.iter().map(|&(_, j)| m.source_of(j)).collect()
+/// The binding a mapping induces on the query's clusters: for each query
+/// attribute's cluster, the unique source attribute mapped to it, if any.
+/// Mappings inducing the same signature are probability-pooled before
+/// execution (they are indistinguishable to the query), which keeps
+/// answering fast even when p-mappings are large.
+fn binding_signature(m: &Mapping, clusters: &[usize]) -> Vec<Option<AttrId>> {
+    clusters.iter().map(|&j| m.source_of(j)).collect()
 }
 
 #[cfg(test)]
@@ -588,7 +604,7 @@ mod tests {
     use crate::pipeline::UdiConfig;
     use udi_query::parse_query;
     use udi_schema::{PMapping, PMedSchema};
-    use udi_store::{Catalog, Table, Value};
+    use udi_store::{Catalog, SourceId, Table, Value};
 
     /// Catalog with a single source: Example 2.1's S1 and its tuple.
     fn example_2_1() -> UdiSystem {
@@ -955,6 +971,48 @@ mod tests {
         assert_eq!(udi.plan_cache_len(), 2);
         udi.answer_top_mapping(&q);
         assert_eq!(udi.plan_cache_len(), 3);
+    }
+
+    #[test]
+    fn plan_bindings_are_columns_and_each_is_scanned_once() {
+        let mut udi = example_2_1();
+        let sink = Arc::new(udi_obs::MemorySink::new());
+        udi.set_sink(Some(sink.clone()));
+        let q = parse_query("SELECT hPhone, oPhone FROM P WHERE hPhone != 'x'").unwrap();
+        let prepared = udi.prepare(&q);
+        let plan = prepared.plan().expect("answerable");
+        // S2's one phone binds hPhone or oPhone, never both at once: no
+        // binding, no scan.
+        assert_eq!(plan.per_source.len(), 2);
+        assert!(plan.per_source[1].is_empty(), "{:?}", plan.per_source[1]);
+        // S1 binds the two phones either way round, in clause order:
+        // hPhone, oPhone, hPhone.
+        let columns: Vec<&[usize]> = plan.per_source[0].iter().map(|(c, _)| &c[..]).collect();
+        assert_eq!(columns, [&[1, 3, 1][..], &[3, 1, 3][..]]);
+        udi.answer(&q);
+        let expected: u64 = udi
+            .catalog()
+            .iter_sources()
+            .map(|(sid, t)| (plan.per_source[sid.0 as usize].len() * t.row_count()) as u64)
+            .sum();
+        assert_eq!(expected, 2, "two bindings over S1's one row");
+        assert_eq!(sink.counter_total("query.tuples.scanned"), expected);
+    }
+
+    #[test]
+    fn lowering_needs_every_attribute_bound_to_a_column_of_the_table() {
+        let udi = example_2_1();
+        let q = parse_query("SELECT name FROM P WHERE phone = 'x'").unwrap();
+        let attrs = q.referenced_attributes();
+        let s1 = udi.catalog().source(SourceId(0)).unwrap();
+        let lower = |sig: &[Option<AttrId>]| udi.lower(Parsed::Select(&q), &attrs, sig, s1);
+        // name → name, phone → oPhone.
+        assert_eq!(lower(&[Some(AttrId(0)), Some(AttrId(3))]), Some(vec![0, 3]));
+        // An unbound select or predicate attribute lowers to nothing.
+        assert_eq!(lower(&[None, Some(AttrId(3))]), None);
+        assert_eq!(lower(&[Some(AttrId(0)), None]), None);
+        // `phone` (id 5) is S2's attribute: S1 has no such column.
+        assert_eq!(lower(&[Some(AttrId(0)), Some(AttrId(5))]), None);
     }
 
     #[test]

@@ -98,32 +98,30 @@ impl UdiSystem {
                 ((clusters, *p), position)
             })
             .unzip();
-        let pmappings = (0..self.catalog().source_count())
-            .map(|s| {
-                Json::Arr(
-                    positions
-                        .iter()
-                        .enumerate()
-                        .map(|(m, position)| {
-                            alternatives_to_json("mappings", self.pmapping(s, m).mappings(), |a| {
-                                ids.mapping_to_json(a, position)
-                            })
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        object([
-            ("version", Json::Int(i64::from(SNAPSHOT_VERSION))),
-            ("catalog", catalog_to_json(self.catalog())),
-            (
-                "pmed",
-                alternatives_to_json("schemas", &schemas, |c| clusters_to_json(c)),
-            ),
-            ("pmappings", Json::Arr(pmappings)),
-            ("feedback", feedback_to_json(self.feedback())),
-        ])
-        .render()
+        // The top-level keys in the sorted order a `Json::Obj` renders
+        // them. Each source's catalog entry and p-mappings are built as a
+        // tree and rendered at once, so the whole document never exists
+        // as one tree.
+        let mut out = String::new();
+        out.push_str("{\"catalog\":");
+        catalog_into(self.catalog(), &mut out);
+        out.push_str(",\"feedback\":");
+        feedback_to_json(self.feedback()).render_into(&mut out);
+        out.push_str(",\"pmappings\":");
+        array_into(&mut out, 0..self.catalog().source_count(), |s, out| {
+            let per_schema = positions.iter().enumerate().map(|(m, position)| {
+                alternatives_to_json("mappings", self.pmapping(s, m).mappings(), |a| {
+                    ids.mapping_to_json(a, position)
+                })
+            });
+            Json::Arr(per_schema.collect()).render_into(out);
+        });
+        out.push_str(",\"pmed\":");
+        alternatives_to_json("schemas", &schemas, |c| clusters_to_json(c)).render_into(&mut out);
+        out.push_str(",\"version\":");
+        json::render_int(i64::from(SNAPSHOT_VERSION), &mut out);
+        out.push('}');
+        out
     }
 
     /// Rebuild a system from a JSON snapshot produced by
@@ -247,38 +245,51 @@ impl Renumbering {
     }
 }
 
-fn catalog_to_json(catalog: &Catalog) -> Json {
-    let sources = catalog
-        .iter_sources()
-        .map(|(_, t)| {
-            let rows = t
-                .to_rows()
-                .iter()
-                .map(|row| Json::Arr(row.iter().map(cell_to_json).collect()))
-                .collect();
-            object([
-                ("name", Json::Str(t.name().to_owned())),
-                (
-                    "attributes",
-                    strings(t.attributes().iter().map(String::as_str)),
-                ),
-                ("rows", Json::Arr(rows)),
-            ])
-        })
-        .collect();
-    object([
-        ("sources", Json::Arr(sources)),
-        (
-            "attr_source_counts",
-            Json::Obj(
-                catalog
-                    .attr_source_counts()
-                    .iter()
-                    .map(|(a, &n)| (a.clone(), Json::Int(n as i64)))
-                    .collect(),
+/// Append `[render(item), …]` to `out`.
+fn array_into<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut render: impl FnMut(T, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render(item, out);
+    }
+    out.push(']');
+}
+
+/// Append the catalog object to `out`, one source at a time, its keys in
+/// sorted order.
+fn catalog_into(catalog: &Catalog, out: &mut String) {
+    out.push_str("{\"attr_source_counts\":");
+    let counts = catalog.attr_source_counts().iter();
+    Json::Obj(
+        counts
+            .map(|(a, &n)| (a.clone(), Json::Int(n as i64)))
+            .collect(),
+    )
+    .render_into(out);
+    out.push_str(",\"sources\":");
+    array_into(out, catalog.iter_sources(), |(_, t), out| {
+        let rows = t
+            .to_rows()
+            .iter()
+            .map(|row| Json::Arr(row.iter().map(cell_to_json).collect()))
+            .collect();
+        object([
+            ("name", Json::Str(t.name().to_owned())),
+            (
+                "attributes",
+                strings(t.attributes().iter().map(String::as_str)),
             ),
-        ),
-    ])
+            ("rows", Json::Arr(rows)),
+        ])
+        .render_into(out);
+    });
+    out.push('}');
 }
 
 fn cell_to_json(cell: &Value) -> Json {

@@ -11,8 +11,9 @@
 //! * [`PreparedQuery`] — a query compiled against the current stage
 //!   artifacts into execution-ready per-source bindings. Compilation
 //!   filters incomplete signatures and zero-mass bindings up front and
-//!   resolves attribute ids to source attribute names, so execution touches
-//!   only tables and probabilities.
+//!   lowers each binding to the source columns the query reads (attribute
+//!   id → vocabulary name → table column, once per compile), so execution
+//!   touches only columns by position and probabilities.
 //! * `PlanCache` (crate-private) — a **lock-free** map `(pooling, query
 //!   text) → plan` consulted transparently by every `UdiSystem::answer*`
 //!   call. The key is the *pooling*, not the answer path: paths that pool
@@ -37,7 +38,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use udi_query::{AnswerSet, AnswerTuple, Binding};
+use udi_query::{AnswerSet, AnswerTuple};
 use udi_store::{SourceId, Table};
 
 use crate::system::UdiSystem;
@@ -72,8 +73,9 @@ pub(crate) enum Pooling {
 
 /// One source's execution-ready compiled form: every complete, positive-
 /// mass binding the pooled p-mapping induces, in deterministic signature
-/// order, with attribute ids already resolved to source attribute names.
-pub(crate) type SourceBindings = Vec<(Binding, f64)>;
+/// order, each lowered to the table column of every attribute the query
+/// reads, in clause order (`Query::columns`), with its pooled probability.
+pub(crate) type SourceBindings = Vec<(Vec<usize>, f64)>;
 
 /// The compiled body of a [`PreparedQuery`]: per-source bindings, indexed
 /// by catalog position (= `SourceId.0`).
@@ -329,7 +331,7 @@ pub(crate) fn fan_out<F>(
     per_source: F,
 ) -> (AnswerSet, u64, u64)
 where
-    F: Fn(&Table, &[(Binding, f64)]) -> (Vec<AnswerTuple>, u64),
+    F: Fn(&Table, &[(Vec<usize>, f64)]) -> (Vec<AnswerTuple>, u64),
 {
     let trace = sys.engine().trace_enabled();
     let recorder = sys.engine().recorder();

@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 
 use udi_store::{Row, Table, Value};
 
-use crate::ast::{Predicate, PredicateTest};
-use crate::exec::Binding;
+use crate::ast::{first_appearances, Predicate};
+use crate::exec::{column, scan};
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,30 +70,35 @@ pub struct AggregateQuery {
 }
 
 impl AggregateQuery {
+    /// Every attribute the query reads, in clause order: one per grouping
+    /// attribute, one per aggregate argument (`COUNT(*)` has none), then
+    /// one per predicate.
+    fn clause_attributes(&self) -> impl Iterator<Item = &str> {
+        let args = self
+            .aggregates
+            .iter()
+            .filter_map(|a| a.attribute.as_deref());
+        let filters = self.predicates.iter().map(|p| p.attribute.as_str());
+        self.group_by
+            .iter()
+            .map(String::as_str)
+            .chain(args)
+            .chain(filters)
+    }
+
     /// All attribute names the query references: group-by attributes,
     /// aggregate arguments, then predicate attributes; deduplicated in
     /// first-appearance order.
     pub fn referenced_attributes(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for a in self.group_by.iter().map(String::as_str) {
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        for agg in &self.aggregates {
-            if let Some(a) = agg.attribute.as_deref() {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-        }
-        for p in &self.predicates {
-            let a = p.attribute.as_str();
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        out
+        first_appearances(self.clause_attributes())
+    }
+
+    /// The table column of every attribute the query reads, in clause
+    /// order, as [`execute_aggregate`] takes them. `None` when `resolve`
+    /// leaves any attribute unbound (see
+    /// [`Query::columns`](crate::Query::columns)).
+    pub fn columns(&self, resolve: impl FnMut(&str) -> Option<usize>) -> Option<Vec<usize>> {
+        self.clause_attributes().map(resolve).collect()
     }
 }
 
@@ -198,62 +203,40 @@ impl AggState {
     }
 }
 
-/// Execute an aggregate query on one table under an attribute binding.
-/// Output rows are `group_by values ++ aggregate values`, ordered by group
-/// key. Returns the empty result when any referenced attribute is unbound;
-/// an ungrouped query over zero qualifying rows yields one row of empty
-/// aggregates (`COUNT = 0`), matching SQL.
-pub fn execute_aggregate_with_binding(
-    table: &Table,
-    query: &AggregateQuery,
-    binding: &Binding,
-) -> Vec<Row> {
-    let resolve = |attr: &str| -> Option<usize> {
-        binding.get(attr).and_then(|src| table.attribute_index(src))
+/// Execute an aggregate query on one table, reading the columns
+/// [`AggregateQuery::columns`] resolved. Output rows are `group_by values
+/// ++ aggregate values`, ordered by group key. An ungrouped query over zero
+/// qualifying rows yields one row of empty aggregates (`COUNT = 0`),
+/// matching SQL; `columns` that do not fit the query's clauses yield
+/// nothing.
+pub fn execute_aggregate(table: &Table, query: &AggregateQuery, columns: &[usize]) -> Vec<Row> {
+    let n_args = query
+        .aggregates
+        .iter()
+        .filter(|a| a.attribute.is_some())
+        .count();
+    let Some((group, rest)) = columns.split_at_checked(query.group_by.len()) else {
+        return Vec::new();
     };
-    let mut group_cols = Vec::with_capacity(query.group_by.len());
-    for a in &query.group_by {
-        match resolve(a) {
-            Some(i) => group_cols.push(i),
-            None => return Vec::new(),
-        }
+    let Some((args, filter)) = rest.split_at_checked(n_args) else {
+        return Vec::new();
+    };
+    if filter.len() != query.predicates.len() {
+        return Vec::new();
     }
-    let mut agg_cols: Vec<Option<usize>> = Vec::with_capacity(query.aggregates.len());
-    for a in &query.aggregates {
-        match &a.attribute {
-            None => agg_cols.push(None),
-            Some(attr) => match resolve(attr) {
-                Some(i) => agg_cols.push(Some(i)),
-                None => return Vec::new(),
-            },
-        }
-    }
-    let mut pred_cols = Vec::with_capacity(query.predicates.len());
-    for p in &query.predicates {
-        match resolve(&p.attribute) {
-            Some(i) => pred_cols.push(i),
-            None => return Vec::new(),
-        }
-    }
-
-    // Columnar scan over the referenced segments only.
-    let column = |c: usize| table.column(c).unwrap_or(&[]);
-    let pred_slices: Vec<&[Value]> = pred_cols.iter().map(|&c| column(c)).collect();
-    let group_slices: Vec<&[Value]> = group_cols.iter().map(|&c| column(c)).collect();
-    let agg_slices: Vec<Option<&[Value]>> = agg_cols.iter().map(|c| c.map(&column)).collect();
+    let group_slices: Vec<&[Value]> = group.iter().map(|&c| column(table, c)).collect();
+    let mut args = args.iter();
+    let agg_slices: Vec<Option<&[Value]>> = query
+        .aggregates
+        .iter()
+        .map(|a| {
+            a.attribute.as_ref()?;
+            args.next().map(|&c| column(table, c))
+        })
+        .collect();
 
     let mut groups: BTreeMap<Row, Vec<AggState>> = BTreeMap::new();
-    let mut tests: Vec<PredicateTest<'_>> =
-        query.predicates.iter().map(Predicate::prepare).collect();
-    'rows: for ri in 0..table.row_count() {
-        for (test, col) in tests.iter_mut().zip(&pred_slices) {
-            // Checked access: a short column (impossible for a well-formed
-            // table) reads as no-match instead of panicking.
-            let Some(v) = col.get(ri) else { continue 'rows };
-            if !test.test(v) {
-                continue 'rows;
-            }
-        }
+    scan(table, &query.predicates, filter, |ri| {
         let key: Row = group_slices
             .iter()
             .map(|s| s.get(ri).cloned().unwrap_or(Value::Null))
@@ -268,7 +251,7 @@ pub fn execute_aggregate_with_binding(
         for (state, col) in states.iter_mut().zip(&agg_slices) {
             state.feed(col.and_then(|s| s.get(ri)));
         }
-    }
+    });
     if groups.is_empty() && query.group_by.is_empty() {
         // SQL: an ungrouped aggregate over zero rows still yields one row.
         groups.insert(
@@ -303,12 +286,11 @@ mod tests {
         t
     }
 
-    fn binding() -> Binding {
-        let mut b = Binding::new();
-        b.bind("genre", "genre")
-            .bind("rating", "rating")
-            .bind("title", "title");
-        b
+    /// `query` on [`table`], every attribute bound to its own column.
+    fn run(query: &AggregateQuery) -> Vec<Row> {
+        let t = table();
+        let cols = query.columns(|a| t.attribute_index(a)).unwrap();
+        execute_aggregate(&t, query, &cols)
     }
 
     fn q(group: &[&str], aggs: &[(AggFunc, Option<&str>)]) -> AggregateQuery {
@@ -328,11 +310,7 @@ mod tests {
 
     #[test]
     fn count_star_per_group() {
-        let rows = execute_aggregate_with_binding(
-            &table(),
-            &q(&["genre"], &[(AggFunc::Count, None)]),
-            &binding(),
-        );
+        let rows = run(&q(&["genre"], &[(AggFunc::Count, None)]));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec![Value::text("Comedy"), Value::Int(2)]);
         assert_eq!(rows[1], vec![Value::text("Drama"), Value::Int(2)]);
@@ -340,29 +318,21 @@ mod tests {
 
     #[test]
     fn count_attr_skips_nulls() {
-        let rows = execute_aggregate_with_binding(
-            &table(),
-            &q(&["genre"], &[(AggFunc::Count, Some("rating"))]),
-            &binding(),
-        );
+        let rows = run(&q(&["genre"], &[(AggFunc::Count, Some("rating"))]));
         assert_eq!(rows[0], vec![Value::text("Comedy"), Value::Int(1)]);
     }
 
     #[test]
     fn sum_avg_min_max() {
-        let rows = execute_aggregate_with_binding(
-            &table(),
-            &q(
-                &["genre"],
-                &[
-                    (AggFunc::Sum, Some("rating")),
-                    (AggFunc::Avg, Some("rating")),
-                    (AggFunc::Min, Some("rating")),
-                    (AggFunc::Max, Some("rating")),
-                ],
-            ),
-            &binding(),
-        );
+        let rows = run(&q(
+            &["genre"],
+            &[
+                (AggFunc::Sum, Some("rating")),
+                (AggFunc::Avg, Some("rating")),
+                (AggFunc::Min, Some("rating")),
+                (AggFunc::Max, Some("rating")),
+            ],
+        ));
         // Drama: sum 14, avg 7, min 6, max 8.
         assert_eq!(
             rows[1],
@@ -378,14 +348,10 @@ mod tests {
 
     #[test]
     fn ungrouped_aggregate_is_one_row() {
-        let rows = execute_aggregate_with_binding(
-            &table(),
-            &q(
-                &[],
-                &[(AggFunc::Count, None), (AggFunc::Max, Some("rating"))],
-            ),
-            &binding(),
-        );
+        let rows = run(&q(
+            &[],
+            &[(AggFunc::Count, None), (AggFunc::Max, Some("rating"))],
+        ));
         assert_eq!(rows, vec![vec![Value::Int(4), Value::Int(8)]]);
     }
 
@@ -398,7 +364,7 @@ mod tests {
         query
             .predicates
             .push(Predicate::new("genre", CompareOp::Eq, "Western"));
-        let rows = execute_aggregate_with_binding(&table(), &query, &binding());
+        let rows = run(&query);
         assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]]);
     }
 
@@ -408,13 +374,32 @@ mod tests {
         query
             .predicates
             .push(Predicate::new("genre", CompareOp::Eq, "Western"));
-        assert!(execute_aggregate_with_binding(&table(), &query, &binding()).is_empty());
+        assert!(run(&query).is_empty());
     }
 
     #[test]
     fn unbound_attribute_yields_nothing() {
-        let query = q(&["genre"], &[(AggFunc::Sum, Some("salary"))]);
-        assert!(execute_aggregate_with_binding(&table(), &query, &binding()).is_empty());
+        let t = table();
+        for query in [
+            q(&["genre"], &[(AggFunc::Sum, Some("salary"))]),
+            q(&["salary"], &[(AggFunc::Count, None)]),
+            q(
+                &[],
+                &[(AggFunc::Count, None), (AggFunc::Max, Some("salary"))],
+            ),
+        ] {
+            assert_eq!(query.columns(|a| t.attribute_index(a)), None, "{query}");
+        }
+    }
+
+    #[test]
+    fn columns_that_do_not_fit_the_query_yield_nothing() {
+        // Not even the zero row of an ungrouped query.
+        let ungrouped = q(&[], &[(AggFunc::Count, None)]);
+        assert!(execute_aggregate(&table(), &ungrouped, &[0]).is_empty());
+        let grouped = q(&["genre"], &[(AggFunc::Max, Some("rating"))]);
+        assert!(execute_aggregate(&table(), &grouped, &[0]).is_empty());
+        assert_eq!(execute_aggregate(&table(), &grouped, &[0, 1]).len(), 2);
     }
 
     #[test]
@@ -423,7 +408,7 @@ mod tests {
         query
             .predicates
             .push(Predicate::new("rating", CompareOp::Ge, 7_i64));
-        let rows = execute_aggregate_with_binding(&table(), &query, &binding());
+        let rows = run(&query);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec![Value::text("Comedy"), Value::Int(1)]);
         assert_eq!(rows[1], vec![Value::text("Drama"), Value::Int(1)]);

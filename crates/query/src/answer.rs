@@ -49,7 +49,7 @@ impl SourceAccumulator {
 
     /// Record the result bag of one possible mapping with probability `p`.
     /// The rows are moved into the accumulator; each is hashed once.
-    pub fn add_mapping(&mut self, rows: Vec<Row>, p: f64) {
+    pub fn add_mapping(&mut self, rows: impl IntoIterator<Item = Row>, p: f64) {
         if p <= 0.0 {
             return;
         }

@@ -141,23 +141,39 @@ impl Query {
         }
     }
 
+    /// Every attribute the query reads, in clause order: one per select
+    /// item, then one per predicate.
+    fn clause_attributes(&self) -> impl Iterator<Item = &str> {
+        let filters = self.predicates.iter().map(|p| p.attribute.as_str());
+        self.select.iter().map(String::as_str).chain(filters)
+    }
+
     /// All attribute names the query references (select list then predicate
     /// attributes), deduplicated, in first-appearance order.
     pub fn referenced_attributes(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for a in self.select.iter().map(String::as_str) {
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        for p in &self.predicates {
-            let a = p.attribute.as_str();
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        out
+        first_appearances(self.clause_attributes())
     }
+
+    /// The table column of every attribute the query reads, in clause
+    /// order — one per select item, then one per predicate — as
+    /// [`execute`](crate::execute) takes them. `resolve` gives the column
+    /// an attribute is bound to; `None` when it leaves any attribute
+    /// unbound, because a source cannot answer the query then. This is the
+    /// one place a binding meets attribute names.
+    pub fn columns(&self, resolve: impl FnMut(&str) -> Option<usize>) -> Option<Vec<usize>> {
+        self.clause_attributes().map(resolve).collect()
+    }
+}
+
+/// `attrs` without repeats, in first-appearance order.
+pub(crate) fn first_appearances<'a>(attrs: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut out: Vec<&str> = Vec::new();
+    for a in attrs {
+        if !out.contains(&a) {
+            out.push(a);
+        }
+    }
+    out
 }
 
 impl std::fmt::Display for Query {

@@ -12,9 +12,12 @@
 //!   of comparison predicates (`=, ≠, <, ≤, >, ≥, LIKE` as in §7.1);
 //! - [`parse_query`]: a small SQL parser for the
 //!   `SELECT ... FROM ... WHERE ...` fragment the paper's workload uses;
-//! - [`execute_with_binding`]: evaluation of a query against one source
-//!   table under an attribute binding (query attribute → source attribute),
+//! - [`Query::columns`] / [`AggregateQuery::columns`]: the one binding
+//!   form — the table column of every attribute a query reads, resolved
+//!   once from an attribute binding (query attribute → source column),
 //!   which is how a rewritten query runs after p-mapping reformulation;
+//! - [`execute`] / [`execute_aggregate`]: evaluation of a query against one
+//!   source table on those columns, sharing one predicate scan;
 //! - [`AnswerSet`]: by-table probabilistic answers — per-source tuple
 //!   probabilities are summed over the mappings that produce the tuple, and
 //!   sources combine by probabilistic disjunction `1 − Π(1 − p_i)` (§2).
@@ -23,19 +26,25 @@
 //!
 //! ```
 //! use udi_store::{Table, Value};
-//! use udi_query::{parse_query, execute_with_binding, Binding};
+//! use udi_query::{execute, parse_query};
 //!
 //! let mut t = Table::new("s", ["full_name", "tel"]);
 //! t.push_raw_row(["Alice", "123-4567"]).unwrap();
 //! t.push_raw_row(["Bob", "765-4321"]).unwrap();
 //!
 //! let q = parse_query("SELECT name, phone FROM people WHERE name = 'Alice'").unwrap();
-//! let mut b = Binding::new();
-//! b.bind("name", "full_name");
-//! b.bind("phone", "tel");
-//! let rows = execute_with_binding(&t, &q, &b);
+//! // Bind name → full_name and phone → tel, then run on columns.
+//! let binding = [("name", "full_name"), ("phone", "tel")];
+//! let columns = q
+//!     .columns(|a| {
+//!         let (_, s) = binding.iter().find(|(q, _)| *q == a)?;
+//!         t.attribute_index(s)
+//!     })
+//!     .unwrap();
+//! assert_eq!(columns, [0, 1, 0]);
+//! let rows = execute(&t, &q, &columns);
 //! assert_eq!(rows.len(), 1);
-//! assert_eq!(rows[0][1], Value::text("123-4567"));
+//! assert_eq!(rows[0].1[1], Value::text("123-4567"));
 //! ```
 
 pub mod aggregate;
@@ -45,8 +54,8 @@ pub mod exec;
 pub mod parse;
 mod rows;
 
-pub use aggregate::{execute_aggregate_with_binding, AggFunc, Aggregate, AggregateQuery};
+pub use aggregate::{execute_aggregate, AggFunc, Aggregate, AggregateQuery};
 pub use answer::{AnswerSet, AnswerTuple, SourceAccumulator, TupleAccumulator};
 pub use ast::{CompareOp, Predicate, Query};
-pub use exec::{execute_with_binding, execute_with_binding_indexed, Binding};
+pub use exec::execute;
 pub use parse::{parse_aggregate_query, parse_query, ParseError};

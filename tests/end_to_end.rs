@@ -122,7 +122,7 @@ fn course_domain_exhibits_the_stringly_precision_artifact() {
     // Somewhere in the Course corpus a numeric comparison on a text column
     // must produce an incorrect answer for the Source baseline — §7.3's
     // explanation for Source's sub-1 precision in Course.
-    use udi::query::{execute_with_binding, parse_query, Binding};
+    use udi::query::{execute, parse_query};
     use udi::store::Value;
     let d = prepare(Domain::Course, Some(65), 2008).expect("setup");
     let mut artifact = false;
@@ -141,8 +141,8 @@ fn course_domain_exhibits_the_stringly_precision_artifact() {
         }
         let sql = format!("SELECT \"{attr}\" FROM T WHERE \"{attr}\" > 50");
         let q = parse_query(&sql).unwrap();
-        let rows = execute_with_binding(t, &q, &Binding::identity(t));
-        for r in rows {
+        let columns = q.columns(|a| t.attribute_index(a)).unwrap();
+        for (_, r) in execute(t, &q, &columns) {
             if let Some(v) = r[0].as_f64() {
                 if v <= 50.0 {
                     continue;
