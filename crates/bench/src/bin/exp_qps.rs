@@ -14,17 +14,30 @@
 //! * **scaling** — 4 callers deliver ≥ 2.5× the single-caller throughput
 //!   (asserted in full mode on machines with ≥ 4 cores).
 //!
+//! It then splits one sequential read into its layers, per query, the way
+//! the server runs it (`answer`, then `answer_reply_into`, then the drop of
+//! the answer set): the best time of each layer over repeated rounds, the
+//! reply bytes, and the render time of each cell type (text, int, float,
+//! probability) rendered alone. Full mode writes the split to
+//! `results/BENCH_readpath.json`; smoke mode writes `BENCH_readpath.json`
+//! in the working directory. Both record `host_cores` and the build
+//! profile.
+//!
 //! `--smoke` runs a small corpus at 1–2 callers with no scaling assertion
 //! — the CI configuration, proving the binary and the identity check work
 //! without paying for the full corpus.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use udi_bench::{banner, seed, sources_for, BenchObs};
-use udi_core::{UdiConfig, UdiSystem};
+use udi_core::{AnswerPath, UdiConfig, UdiSystem};
 use udi_datagen::{generate, Domain, GenConfig};
 use udi_eval::generate_workload;
+use udi_obs::json::{render_float, render_int, render_string, Json};
 use udi_query::{AnswerSet, Query};
+use udi_serve::answer_reply_into;
+use udi_store::Value;
 
 /// Exact fingerprint of an answer set: source id, rendered values, raw
 /// probability bits.
@@ -62,6 +75,181 @@ fn caller(
         passes += 1;
     }
     (identical, executed)
+}
+
+/// The cell types a reply renders, in report order.
+const CELL_TYPES: [&str; 4] = ["text", "int", "float", "probability"];
+
+/// One query's read path split into layers: best wall time per layer over
+/// the rounds, in ms.
+struct Split {
+    query: String,
+    tuples: usize,
+    reply_bytes: usize,
+    answer_ms: f64,
+    reply_ms: f64,
+    drop_ms: f64,
+    /// Per [`CELL_TYPES`] entry: cells rendered, best render ms.
+    cells: [(usize, f64); 4],
+}
+
+impl Split {
+    /// A split with every time `t`: ∞ to take minima into, 0 to sum into.
+    fn new(query: String, t: f64) -> Split {
+        Split {
+            query,
+            tuples: 0,
+            reply_bytes: 0,
+            answer_ms: t,
+            reply_ms: t,
+            drop_ms: t,
+            cells: [(0, t); 4],
+        }
+    }
+}
+
+/// Renders only the cells of type `CELL_TYPES[kind]` of `set`, as
+/// `answer_reply_into` would, into `out`; returns how many it rendered.
+/// Probabilities repeat the reply's memo: a run of equal bits is rendered
+/// once.
+fn render_cells(kind: usize, set: &AnswerSet, out: &mut String) -> usize {
+    let mut count = 0;
+    let mut last_bits = None;
+    for (_, tuples) in set.by_source() {
+        for t in tuples {
+            if kind == 3 {
+                count += 1;
+                if last_bits != Some(t.probability.to_bits()) {
+                    out.clear();
+                    render_float(t.probability, out);
+                    last_bits = Some(t.probability.to_bits());
+                }
+                continue;
+            }
+            for v in &t.values {
+                match (kind, v) {
+                    (0, Value::Text(s)) => render_string(s, out),
+                    (1, Value::Int(i)) => render_int(*i, out),
+                    (2, Value::Float(f)) => render_float(*f, out),
+                    _ => continue,
+                }
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+/// Best-of-`rounds` layer split of each query's sequential read.
+fn layer_split(udi: &UdiSystem, queries: &[Query], rounds: usize) -> Vec<Split> {
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let mut splits: Vec<Split> = queries
+        .iter()
+        .map(|q| Split::new(q.to_string(), f64::INFINITY))
+        .collect();
+    let mut out = String::new();
+    for _ in 0..rounds {
+        for (q, split) in queries.iter().zip(&mut splits) {
+            let t = Instant::now();
+            let set = udi.answer(q);
+            split.answer_ms = split.answer_ms.min(ms(t));
+            out.clear();
+            let t = Instant::now();
+            answer_reply_into(Some(1), 1, AnswerPath::Consolidated, &set, &mut out);
+            split.reply_ms = split.reply_ms.min(ms(t));
+            split.reply_bytes = out.len();
+            split.tuples = set.len();
+            for (kind, cell) in split.cells.iter_mut().enumerate() {
+                out.clear();
+                let t = Instant::now();
+                let count = render_cells(kind, &set, &mut out);
+                *cell = (count, cell.1.min(ms(t)));
+            }
+            let t = Instant::now();
+            drop(set);
+            split.drop_ms = split.drop_ms.min(ms(t));
+        }
+    }
+    splits
+}
+
+/// A duration in ms, kept to the microsecond.
+fn ms_json(ms: f64) -> Json {
+    Json::Float((ms * 1e3).round() / 1e3)
+}
+
+/// The split as a JSON document: per query, and summed over the queries.
+fn split_json(
+    splits: &[Split],
+    host_cores: usize,
+    smoke: bool,
+    sources: usize,
+    rounds: usize,
+) -> Json {
+    let layers = |s: &Split| -> BTreeMap<String, Json> {
+        let mut obj = BTreeMap::new();
+        obj.insert("answer_ms".to_owned(), ms_json(s.answer_ms));
+        obj.insert("answer_reply_into_ms".to_owned(), ms_json(s.reply_ms));
+        obj.insert("drop_ms".to_owned(), ms_json(s.drop_ms));
+        obj.insert("reply_bytes".to_owned(), Json::Int(s.reply_bytes as i64));
+        obj.insert("tuples".to_owned(), Json::Int(s.tuples as i64));
+        let cells = CELL_TYPES.iter().zip(&s.cells);
+        obj.insert(
+            "cells".to_owned(),
+            Json::Obj(
+                cells
+                    .clone()
+                    .map(|(k, &(n, _))| (k.to_string(), Json::Int(n as i64)))
+                    .collect(),
+            ),
+        );
+        obj.insert(
+            "render_ms".to_owned(),
+            Json::Obj(
+                cells
+                    .map(|(k, &(_, t))| (k.to_string(), ms_json(t)))
+                    .collect(),
+            ),
+        );
+        obj
+    };
+    let mut total = Split::new(String::new(), 0.0);
+    for s in splits {
+        total.tuples += s.tuples;
+        total.reply_bytes += s.reply_bytes;
+        total.answer_ms += s.answer_ms;
+        total.reply_ms += s.reply_ms;
+        total.drop_ms += s.drop_ms;
+        for (sum, cell) in total.cells.iter_mut().zip(&s.cells) {
+            *sum = (sum.0 + cell.0, sum.1 + cell.1);
+        }
+    }
+    let per_query = splits
+        .iter()
+        .map(|s| {
+            let mut obj = layers(s);
+            obj.insert("query".to_owned(), Json::Str(s.query.clone()));
+            Json::Obj(obj)
+        })
+        .collect();
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut doc = BTreeMap::new();
+    doc.insert(
+        "schema".to_owned(),
+        Json::Str("udi-exp-qps-readpath/v1".to_owned()),
+    );
+    doc.insert("host_cores".to_owned(), Json::Int(host_cores as i64));
+    doc.insert("profile".to_owned(), Json::Str(profile.to_owned()));
+    doc.insert("smoke".to_owned(), Json::Bool(smoke));
+    doc.insert("sources".to_owned(), Json::Int(sources as i64));
+    doc.insert("rounds".to_owned(), Json::Int(rounds as i64));
+    doc.insert("queries".to_owned(), Json::Arr(per_query));
+    doc.insert("total".to_owned(), Json::Obj(layers(&total)));
+    Json::Obj(doc)
 }
 
 fn main() {
@@ -177,6 +365,35 @@ fn main() {
             None => println!("(scaling assertion skipped: only {cores} cores available)"),
         }
     }
+
+    // The layer split, best of `rounds` sequential reads per query.
+    let rounds = if smoke { 5 } else { 20 };
+    let splits = layer_split(&udi, &queries, rounds);
+    println!();
+    println!("Layer split, best of {rounds} rounds (ms; render ms per cell type alone):");
+    println!(
+        "{:>5} {:>9} {:>9} {:>7} {:>10} {:>7} {:>7} {:>7} {:>7}",
+        "query", "answer", "reply", "drop", "bytes", "text", "int", "float", "prob"
+    );
+    for (i, s) in splits.iter().enumerate() {
+        let [text, int, float, prob] = s.cells.map(|(_, t)| t);
+        println!(
+            "{:>5} {:>9.3} {:>9.3} {:>7.3} {:>10} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
+            i, s.answer_ms, s.reply_ms, s.drop_ms, s.reply_bytes, text, int, float, prob
+        );
+    }
+    let doc = split_json(&splits, cores, smoke, n, rounds);
+    let out_path = if smoke {
+        "BENCH_readpath.json"
+    } else {
+        "results/BENCH_readpath.json"
+    };
+    if let Err(e) = std::fs::write(out_path, doc.render() + "\n") {
+        eprintln!("cannot write {out_path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {out_path}");
+
     println!("peak RSS: {}", udi_obs::fmt_rss(udi_obs::peak_rss_bytes()));
     obs.finish();
 }

@@ -8,7 +8,8 @@
 //! * Objects render with keys in [`BTreeMap`] order, so a given value always
 //!   renders to the same bytes — the byte-identity contract between the server
 //!   and the library path rests on this.
-//! * Floats render with Rust's shortest-round-trip `{:?}` formatting, and the
+//! * Floats render with Rust's shortest-round-trip `{:?}` formatting (short
+//!   decimals through an exact fast path, see [`render_float`]), and the
 //!   parser reads them back with the correctly rounding `str::parse::<f64>`,
 //!   so a finite float survives render → parse bit for bit. Non-finite floats
 //!   render as `null` (JSON has no NaN).
@@ -126,26 +127,138 @@ impl Json {
 // Writing into a `String` cannot fail, so the `fmt::Result`s below carry
 // nothing and are dropped with `.ok()`.
 
-/// Appends an integer in decimal.
-pub fn render_int(i: i64, out: &mut String) {
-    write!(out, "{i}").ok();
+/// Appends the decimal digits of `n`, left-padded with zeros to at least
+/// `min_width` digits (at most 20, the width of `u64::MAX`).
+fn push_digits(mut n: u64, min_width: usize, out: &mut String) {
+    let mut buf = [b'0'; 20];
+    let mut width = 0;
+    for slot in buf.iter_mut().rev() {
+        if n == 0 && width >= min_width.max(1) {
+            break;
+        }
+        // `n % 10 < 10`, so the cast is exact.
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+        width += 1;
+    }
+    let digits = buf.get(buf.len() - width..).unwrap_or_default();
+    out.push_str(std::str::from_utf8(digits).unwrap_or_default());
 }
+
+/// Appends an integer in decimal, the bytes `format!("{i}")` gives.
+pub fn render_int(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    push_digits(i.unsigned_abs(), 1, out);
+}
+
+/// `10^d` for the fractional digit counts [`render_float`]'s fast path
+/// can take.
+const POW10: [f64; 7] = [1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
+
+/// 2^52, the magnitude below which a float's spacing is finer than 1.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
 
 /// Renders a float the same way the rest of the workspace prints
-/// probabilities: shortest decimal that round-trips. Non-finite values
-/// become `null` because JSON cannot carry them.
+/// probabilities: shortest decimal that round-trips, as `{:?}` writes it.
+/// Non-finite values become `null` because JSON cannot carry them.
+///
+/// Most float cells are short decimals (prices), so an exact fast path
+/// writes them without the general shortest-digit search. `{:?}` prints
+/// fixed notation for `1e-4 ≤ a < 1e16`, `a = |f|`. Let `d ≤ 6` be the
+/// most fractional digits with `a·10^d < 2^52`, and `m` the integer
+/// nearest `a·10^d`. If `m / 10^d == a`, the digits of `m`, with trailing
+/// fractional zeros dropped, are `{:?}`'s:
+///
+/// * *They round-trip.* `m` and `10^d` are exact integers below 2^53, so
+///   the division is correctly rounded: equality says the decimal
+///   `m·10^-d` parses back to `a`.
+/// * *No other decimal of at most `d` fractional digits does.* A float's
+///   spacing is at most 2^-52 of its value, so `a·10^d < 2^52` puts `a`'s
+///   neighbours closer than `10^-d`, and `a`'s rounding interval holds at
+///   most one multiple of `10^-d`.
+/// * *So it is the shortest.* A round-tripping decimal with no more
+///   significant digits but more fractional digits would lie below a
+///   power of ten that `m·10^-d` reaches, making `m·10^-d` that power;
+///   the two would then be at least a tenth of it apart, far wider than
+///   `a`'s rounding interval.
+///
+/// Everything else falls back to `{:?}`: exponent notation, more than `d`
+/// fractional digits, and an `m` that `+ 0.5` rounding put one off (the
+/// test, not the guess, decides). A single test serves every `d`, so a
+/// long fraction, such as a probability, pays one multiply and one divide
+/// before its fallback. No per-value cache is kept: the kernel needs no
+/// memory.
 pub fn render_float(f: f64, out: &mut String) {
-    if f.is_finite() {
-        write!(out, "{f:?}").ok();
-    } else {
+    if !f.is_finite() {
         out.push_str("null");
+        return;
     }
+    let a = f.abs();
+    let widest = POW10
+        .iter()
+        .enumerate()
+        .rev()
+        .find(|&(_, &scale)| a * scale < TWO_POW_52);
+    if let (true, Some((d, &scale))) = (a >= 1e-4, widest) {
+        // `a·10^d + 0.5 < 2^52 + 1`, so the casts are exact.
+        let m = (a * scale + 0.5) as u64;
+        if m as f64 / scale == a {
+            if f < 0.0 {
+                out.push('-');
+            }
+            let scale = scale as u64;
+            push_digits(m / scale, 1, out);
+            out.push('.');
+            // `{:?}` keeps one fractional digit, even a zero.
+            let (mut frac, mut width) = (m % scale, d.max(1));
+            if frac == 0 {
+                width = 1;
+            }
+            while width > 1 && frac % 10 == 0 {
+                frac /= 10;
+                width -= 1;
+            }
+            push_digits(frac, width, out);
+            return;
+        }
+    }
+    write!(out, "{f:?}").ok();
 }
 
+/// Which bytes a JSON string must escape: the control characters, `"`
+/// and `\`. Every byte of a multibyte UTF-8 character is ≥ 0x80, so a
+/// byte scan cannot mistake one for an escape.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut rest: &mut [bool] = &mut table;
+    let mut b: u8 = 0;
+    while let [slot, tail @ ..] = rest {
+        *slot = b < 0x20 || b == b'"' || b == b'\\';
+        rest = tail;
+        b = b.wrapping_add(1);
+    }
+    table
+};
+
 /// Appends `s` as a quoted JSON string, escaping quotes, backslashes
-/// and control characters.
+/// and control characters. A string with nothing to escape, as nearly
+/// every cell is, is copied whole after one scan of its bytes.
 pub fn render_string(s: &str, out: &mut String) {
     out.push('"');
+    if s.bytes()
+        .any(|b| NEEDS_ESCAPE.get(usize::from(b)).copied().unwrap_or(true))
+    {
+        escape_into(s, out);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
+}
+
+/// The escaping loop for strings that need it, one char at a time.
+fn escape_into(s: &str, out: &mut String) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -161,7 +274,6 @@ pub fn render_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Parses one JSON value from `input`, requiring that nothing but
@@ -521,6 +633,189 @@ mod tests {
     fn depth_cap_rejects_deep_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert_eq!(parse(&deep), Err(ParseJsonError::TooDeep));
+    }
+
+    /// The renderers as they were before the kernels, kept as oracles.
+    mod oracle {
+        use std::fmt::Write;
+
+        pub fn float(f: f64) -> String {
+            if f.is_finite() {
+                format!("{f:?}")
+            } else {
+                "null".to_owned()
+            }
+        }
+
+        pub fn string(s: &str) -> String {
+            let mut out = String::from('"');
+            for ch in s.chars() {
+                match ch {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{0008}' => out.push_str("\\b"),
+                    '\u{000C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        write!(out, "\\u{:04x}", c as u32).unwrap();
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+    }
+
+    /// splitmix64: a seeded stream of test inputs, no dependency.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn float(f: f64) -> String {
+        let mut out = String::new();
+        render_float(f, &mut out);
+        out
+    }
+
+    fn check_float(f: f64) {
+        for x in [f, -f] {
+            assert_eq!(float(x), oracle::float(x), "bits {:#018x}", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn float_kernel_matches_debug_on_edge_cases() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        for f in [
+            0.0,
+            1e-4,
+            9.999e-5,
+            1e15,
+            1e16,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52,
+            two52 / 2.0 + 0.5,
+            two52 / 10.0 + 0.25,
+            // Past the bound at d = 6: `a·10^6` is no longer exact.
+            1_358_049_604_121.0,
+            4_754_645_535_805.552,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            0.1,
+            0.30000000000000004,
+            1.0 / 3.0,
+            123_456.789_012,
+            0.000_123_4,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            check_float(f);
+        }
+    }
+
+    #[test]
+    fn float_kernel_matches_debug_on_random_bits() {
+        let mut s = Stream(1);
+        for _ in 0..500_000 {
+            check_float(f64::from_bits(s.next()));
+        }
+    }
+
+    #[test]
+    fn float_kernel_matches_debug_on_short_decimals() {
+        // `k / 10^d` for d in 0..=9: every length the fast path takes,
+        // the three it refuses, and magnitudes up to past 2^52.
+        let mut s = Stream(2);
+        for d in 0..=9 {
+            let scale = 10f64.powi(d);
+            for k in 0..20_000u64 {
+                check_float(k as f64 / scale);
+            }
+            for _ in 0..50_000 {
+                let digits = s.next() % 17;
+                let k = s.next() % 10u64.pow(digits as u32).max(1);
+                check_float(k as f64 / scale);
+            }
+        }
+    }
+
+    #[test]
+    fn int_kernel_matches_display() {
+        let mut s = Stream(3);
+        let fixed = [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        let random = (0..100_000).map(|_| s.next() as i64 >> (s.next() % 64));
+        for i in fixed.into_iter().chain(random) {
+            let mut out = String::new();
+            render_int(i, &mut out);
+            assert_eq!(out, format!("{i}"));
+        }
+    }
+
+    #[test]
+    fn string_kernel_matches_the_char_loop() {
+        let mut cases: Vec<String> = (0u8..0x20)
+            .map(|c| format!("a{}b", char::from(c)))
+            .collect();
+        cases.extend(
+            [
+                "",
+                "plain",
+                "\"",
+                "\\",
+                "\u{7f}",
+                "é",
+                "日本語",
+                "😀",
+                "mixed \"é\" \\ \u{1}",
+                "tail\n",
+            ]
+            .map(str::to_owned),
+        );
+        let alphabet: Vec<char> = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .chain(['é', '日', '😀', '\u{2028}'])
+            .collect();
+        let mut s = Stream(4);
+        for _ in 0..20_000 {
+            let len = s.next() % 12;
+            cases.push(
+                (0..len)
+                    .filter_map(|_| alphabet.get((s.next() % alphabet.len() as u64) as usize))
+                    .collect(),
+            );
+        }
+        for case in cases {
+            let mut out = String::new();
+            render_string(&case, &mut out);
+            assert_eq!(out, oracle::string(&case), "{case:?}");
+        }
     }
 
     #[test]

@@ -55,6 +55,8 @@ impl SourceAccumulator {
         }
         self.mapping += 1;
         let mapping = self.mapping;
+        let rows = rows.into_iter();
+        self.rows.reserve(rows.size_hint().0);
         for row in rows {
             // A tuple stamped with this mapping was already counted under
             // it: within-mapping duplicates add nothing.

@@ -5,15 +5,15 @@
 //!
 //! Answers are emitted in first-seen order, so the store keeps its entries
 //! in one `Vec` and finds them through a small open-addressing table of
-//! entry indices. Each key is hashed exactly once, on arrival, with the
-//! fixed-key SipHash of `DefaultHasher::new()` (deterministic, collision
-//! resistant, no dependency); the hash is kept beside its entry so growing
-//! the table never rehashes a row. A probe compares stored hashes first
-//! and confirms with `==`, so values that compare equal (`Int(2)` and
-//! `Float(2.0)`, which also hash alike) resolve to one entry. Keys are
-//! moved in and moved out; the store never clones one.
+//! entry indices. The order never depends on the hash. Each key is hashed
+//! exactly once, on arrival, with [`RowHasher`], a fixed-key word hash (a
+//! pure function of the key's bytes: no seed, no dependency); the hash is
+//! kept beside its entry so growing the table never rehashes a row. A
+//! probe compares stored hashes first and confirms with `==`, so values
+//! that compare equal (`Int(2)` and `Float(2.0)`, which also hash alike)
+//! resolve to one entry, and keys whose hashes collide stay apart. Keys
+//! are moved in and moved out; the store never clones one.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// An insertion-ordered map from distinct keys (rows, or row-derived keys
@@ -43,8 +43,60 @@ impl<K, V> Default for DistinctRows<K, V> {
 /// The smallest table the store allocates.
 const MIN_SLOTS: usize = 16;
 
+/// The row hash: each written word is folded into the state by xor,
+/// multiply and rotate, and [`finish`](Hasher::finish) ends with the
+/// splitmix64 avalanche, because the table masks the hash down to its low
+/// bits. A cell is one or two words (`Value`'s tag, then its bits or its
+/// text), so a row costs a few multiplies where SipHash-1-3 ran rounds
+/// per word.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl RowHasher {
+    /// An odd constant with well-spread bits (2^64 / φ).
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K).rotate_left(29);
+    }
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(<[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 8];
+            padded.iter_mut().zip(tail).for_each(|(p, b)| *p = *b);
+            self.mix(u64::from_le_bytes(padded));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 fn hash_of<K: Hash>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = RowHasher::default();
     key.hash(&mut h);
     h.finish()
 }
@@ -65,7 +117,7 @@ impl<K: Hash + Eq, V> DistinctRows<K, V> {
     /// to update in place (the passed `key` and `value` are then dropped).
     pub(crate) fn upsert(&mut self, key: K, value: V) -> (usize, Option<&mut V>) {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
-            self.grow();
+            self.reslot((self.slots.len() * 2).max(MIN_SLOTS));
         }
         let hash = hash_of(&key);
         let mask = self.slots.len().wrapping_sub(1);
@@ -98,10 +150,26 @@ impl<K: Hash + Eq, V> DistinctRows<K, V> {
         (self.entries.len() - 1, None)
     }
 
-    /// Doubles the table (or allocates the first one) and re-slots every
-    /// entry from its stored hash.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+    /// Makes room for `additional` more keys, so that inserting them
+    /// reallocates neither the entries nor the table.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.hashes.reserve(additional);
+        let wanted = self
+            .entries
+            .len()
+            .saturating_add(additional)
+            .saturating_mul(2)
+            .checked_next_power_of_two()
+            .unwrap_or(0);
+        if wanted > self.slots.len() {
+            self.reslot(wanted.max(MIN_SLOTS));
+        }
+    }
+
+    /// Replaces the table with one of `len` slots (a power of two) and
+    /// re-slots every entry from its stored hash.
+    fn reslot(&mut self, len: usize) {
         let mask = len - 1;
         let mut slots = vec![0usize; len];
         for (i, &hash) in self.hashes.iter().enumerate() {
@@ -158,6 +226,60 @@ mod tests {
             assert!(old.is_some());
         }
         assert_eq!(s.into_entries().len(), 1000);
+    }
+
+    /// A key whose every instance hashes alike, so each probe walks the
+    /// whole cluster and only `==` tells keys apart.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    #[test]
+    fn total_collision_keeps_order_entries_and_positions() {
+        // 1,000 inserts over 400 keys, repeats interleaved with first
+        // arrivals, through several growths of the table.
+        let keys: Vec<u32> = (0..1000u32).map(|n| n * 7 % 400).collect();
+        let mut first_seen: Vec<u32> = Vec::new();
+        let mut s: DistinctRows<Colliding, u32> = DistinctRows::new();
+        for &k in &keys {
+            let (i, old) = s.upsert(Colliding(k), 1);
+            match old {
+                Some(count) => *count += 1,
+                None => {
+                    assert_eq!(i, first_seen.len());
+                    first_seen.push(k);
+                }
+            }
+        }
+        // Positions survive every growth: each key still finds its entry.
+        for (pos, &k) in first_seen.iter().enumerate() {
+            assert_eq!(s.upsert(Colliding(k), 0).0, pos);
+        }
+        let entries = s.into_entries();
+        assert_eq!(entries.len(), 400);
+        let order: Vec<u32> = entries.iter().map(|(k, _)| k.0).collect();
+        assert_eq!(order, first_seen);
+        assert_eq!(entries.iter().map(|&(_, c)| c).sum::<u32>(), 1000);
+    }
+
+    #[test]
+    fn reserve_keeps_positions_and_order() {
+        let mut s: DistinctRows<usize, ()> = DistinctRows::new();
+        s.upsert(3, ());
+        s.reserve(500);
+        let slots = s.slots.len();
+        assert!(slots >= 1002);
+        for k in 0..500 {
+            s.upsert(k, ());
+        }
+        assert_eq!(s.slots.len(), slots, "a reserved store does not grow");
+        assert_eq!(s.upsert(3, ()).0, 0);
+        assert_eq!(s.upsert(0, ()).0, 1);
     }
 
     #[test]
