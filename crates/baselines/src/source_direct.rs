@@ -1,7 +1,7 @@
 //! The `Source` baseline of §7.3: pose the query directly on every source
 //! that contains all the query's attributes, union the answers.
 
-use udi_query::{execute, AnswerSet, Query, SourceAccumulator};
+use udi_query::{AnswerSet, Query, SourceAccumulator};
 use udi_store::Catalog;
 
 use crate::Integrator;
@@ -39,10 +39,9 @@ impl Integrator for SourceDirect<'_> {
             let Some(columns) = query.columns(|a| table.attribute_index(a)) else {
                 continue;
             };
-            let rows = execute(table, query, &columns).into_iter().map(|(_, r)| r);
             let mut acc = SourceAccumulator::new();
-            acc.add_mapping(rows, 1.0);
-            set.add_source(sid, acc.finish());
+            acc.add_select(table, query, &columns, 1.0);
+            set.add_source(sid, acc.finish().to_tuples());
         }
         set
     }

@@ -14,18 +14,28 @@
 //! * **scaling** — 4 callers deliver ≥ 2.5× the single-caller throughput
 //!   (asserted in full mode on machines with ≥ 4 cores).
 //!
-//! It then splits one sequential read into its layers, per query, the way
-//! the server runs it (`answer`, then `answer_reply_into`, then the drop of
-//! the answer set): the best time of each layer over repeated rounds, the
-//! reply bytes, and the render time of each cell type (text, int, float,
-//! probability) rendered alone. Full mode writes the split to
-//! `results/BENCH_readpath.json`; smoke mode writes `BENCH_readpath.json`
-//! in the working directory. Both record `host_cores` and the build
-//! profile.
+//! The served path is measured next: 1 and 2 callers each running
+//! `udi_serve::answer_into` (answers by reference, rendered straight into
+//! a reused reply buffer), as replies/sec. Two callers is where sharing
+//! the snapshot's cells costs: a path that bumps shared reference counts
+//! slows down as callers are added, one that only reads does not. Before
+//! timing, every hot query's `answer_into` reply is checked byte for byte
+//! against `answer_reply_into` over the library's owned `AnswerSet`; a
+//! difference exits non-zero.
+//!
+//! It then splits one sequential read into its layers, per query: the
+//! library path (`answer`, then `answer_reply_into`, then the drop of the
+//! answer set), the whole served reply (`answer_into` into a reused
+//! buffer), the best time of each over repeated rounds, the reply bytes,
+//! and the render time of each cell type (text, int, float, probability)
+//! rendered alone. Full mode writes the split and the served throughput
+//! to `results/BENCH_readpath.json`; smoke mode writes
+//! `BENCH_readpath.json` in the working directory. Both record
+//! `host_cores` and the build profile.
 //!
 //! `--smoke` runs a small corpus at 1–2 callers with no scaling assertion
-//! — the CI configuration, proving the binary and the identity check work
-//! without paying for the full corpus.
+//! — the CI configuration, proving the binary and both identity checks
+//! work without paying for the full corpus.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -36,7 +46,7 @@ use udi_datagen::{generate, Domain, GenConfig};
 use udi_eval::generate_workload;
 use udi_obs::json::{render_float, render_int, render_string, Json};
 use udi_query::{AnswerSet, Query};
-use udi_serve::answer_reply_into;
+use udi_serve::{answer_into, answer_reply_into};
 use udi_store::Value;
 
 /// Exact fingerprint of an answer set: source id, rendered values, raw
@@ -77,6 +87,55 @@ fn caller(
     (identical, executed)
 }
 
+/// One served-path caller: `answer_into` over every query text into one
+/// reused buffer until `window` has elapsed (at least two passes). Returns
+/// how many replies it wrote.
+fn served_caller(udi: &UdiSystem, texts: &[String], window: Duration) -> u64 {
+    let mut out = String::new();
+    let t0 = Instant::now();
+    let (mut written, mut passes) = (0u64, 0u64);
+    while t0.elapsed() < window || passes < 2 {
+        for text in texts {
+            out.clear();
+            answer_into(udi, AnswerPath::Consolidated, text, 0, Some(1), &mut out)
+                .expect("workload queries parse");
+            std::hint::black_box(out.len());
+            written += 1;
+        }
+        passes += 1;
+    }
+    written
+}
+
+/// Whether `answer_into` writes, for every query text, the bytes
+/// `answer_reply_into` writes for the library's owned answer set; prints
+/// each query that differs.
+fn served_matches_library(udi: &UdiSystem, texts: &[String]) -> bool {
+    let mut same = true;
+    for (i, text) in texts.iter().enumerate() {
+        let set = udi
+            .answer_with(AnswerPath::Consolidated, text, 0)
+            .expect("workload queries parse");
+        let generation = udi.engine().generation();
+        let mut library = String::new();
+        answer_reply_into(
+            Some(1),
+            generation,
+            AnswerPath::Consolidated,
+            &set,
+            &mut library,
+        );
+        let mut served = String::new();
+        answer_into(udi, AnswerPath::Consolidated, text, 0, Some(1), &mut served)
+            .expect("workload queries parse");
+        if served != library {
+            eprintln!("query {i} ({text}): answer_into differs from answer_reply_into");
+            same = false;
+        }
+    }
+    same
+}
+
 /// The cell types a reply renders, in report order.
 const CELL_TYPES: [&str; 4] = ["text", "int", "float", "probability"];
 
@@ -89,6 +148,8 @@ struct Split {
     answer_ms: f64,
     reply_ms: f64,
     drop_ms: f64,
+    /// The whole served reply: `answer_into` into a reused buffer.
+    served_ms: f64,
     /// Per [`CELL_TYPES`] entry: cells rendered, best render ms.
     cells: [(usize, f64); 4],
 }
@@ -103,6 +164,7 @@ impl Split {
             answer_ms: t,
             reply_ms: t,
             drop_ms: t,
+            served_ms: t,
             cells: [(0, t); 4],
         }
     }
@@ -168,6 +230,18 @@ fn layer_split(udi: &UdiSystem, queries: &[Query], rounds: usize) -> Vec<Split> 
             let t = Instant::now();
             drop(set);
             split.drop_ms = split.drop_ms.min(ms(t));
+            out.clear();
+            let t = Instant::now();
+            answer_into(
+                udi,
+                AnswerPath::Consolidated,
+                &split.query,
+                0,
+                Some(1),
+                &mut out,
+            )
+            .expect("workload queries parse");
+            split.served_ms = split.served_ms.min(ms(t));
         }
     }
     splits
@@ -181,6 +255,7 @@ fn ms_json(ms: f64) -> Json {
 /// The split as a JSON document: per query, and summed over the queries.
 fn split_json(
     splits: &[Split],
+    served_qps: &[(usize, f64)],
     host_cores: usize,
     smoke: bool,
     sources: usize,
@@ -191,6 +266,7 @@ fn split_json(
         obj.insert("answer_ms".to_owned(), ms_json(s.answer_ms));
         obj.insert("answer_reply_into_ms".to_owned(), ms_json(s.reply_ms));
         obj.insert("drop_ms".to_owned(), ms_json(s.drop_ms));
+        obj.insert("answer_into_ms".to_owned(), ms_json(s.served_ms));
         obj.insert("reply_bytes".to_owned(), Json::Int(s.reply_bytes as i64));
         obj.insert("tuples".to_owned(), Json::Int(s.tuples as i64));
         let cells = CELL_TYPES.iter().zip(&s.cells);
@@ -220,6 +296,7 @@ fn split_json(
         total.answer_ms += s.answer_ms;
         total.reply_ms += s.reply_ms;
         total.drop_ms += s.drop_ms;
+        total.served_ms += s.served_ms;
         for (sum, cell) in total.cells.iter_mut().zip(&s.cells) {
             *sum = (sum.0 + cell.0, sum.1 + cell.1);
         }
@@ -248,6 +325,13 @@ fn split_json(
     doc.insert("sources".to_owned(), Json::Int(sources as i64));
     doc.insert("rounds".to_owned(), Json::Int(rounds as i64));
     doc.insert("queries".to_owned(), Json::Arr(per_query));
+    let served = served_qps.iter().map(|&(callers, qps)| {
+        let mut obj = BTreeMap::new();
+        obj.insert("callers".to_owned(), Json::Int(callers as i64));
+        obj.insert("replies_per_s".to_owned(), Json::Float(qps.round()));
+        Json::Obj(obj)
+    });
+    doc.insert("served_qps".to_owned(), Json::Arr(served.collect()));
     doc.insert("total".to_owned(), Json::Obj(layers(&total)));
     Json::Obj(doc)
 }
@@ -366,23 +450,60 @@ fn main() {
         }
     }
 
+    // The served path: byte identity with the library's reply first, then
+    // replies/sec at 1 and 2 callers.
+    let texts: Vec<String> = queries.iter().map(Query::to_string).collect();
+    println!();
+    if !served_matches_library(&udi, &texts) {
+        eprintln!("answer_into diverged from answer_reply_into on the library set");
+        std::process::exit(1);
+    }
+    println!("answer_into replies equal answer_reply_into on every hot query");
+    println!("{:>8} {:>12} {:>9}", "callers", "replies/s", "speedup");
+    let mut served_qps: Vec<(usize, f64)> = Vec::new();
+    for callers in [1, 2] {
+        let t0 = Instant::now();
+        let written: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers)
+                .map(|_| scope.spawn(|| served_caller(&udi, &texts, window)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("served caller thread"))
+                .sum()
+        });
+        let qps = written as f64 / t0.elapsed().as_secs_f64();
+        let speedup = qps / served_qps.first().map_or(qps, |&(_, q)| q);
+        println!("{callers:>8} {qps:>12.1} {speedup:>8.2}x");
+        served_qps.push((callers, qps));
+    }
+
     // The layer split, best of `rounds` sequential reads per query.
     let rounds = if smoke { 5 } else { 20 };
     let splits = layer_split(&udi, &queries, rounds);
     println!();
     println!("Layer split, best of {rounds} rounds (ms; render ms per cell type alone):");
     println!(
-        "{:>5} {:>9} {:>9} {:>7} {:>10} {:>7} {:>7} {:>7} {:>7}",
-        "query", "answer", "reply", "drop", "bytes", "text", "int", "float", "prob"
+        "{:>5} {:>9} {:>9} {:>7} {:>9} {:>10} {:>7} {:>7} {:>7} {:>7}",
+        "query", "answer", "reply", "drop", "served", "bytes", "text", "int", "float", "prob"
     );
     for (i, s) in splits.iter().enumerate() {
         let [text, int, float, prob] = s.cells.map(|(_, t)| t);
         println!(
-            "{:>5} {:>9.3} {:>9.3} {:>7.3} {:>10} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-            i, s.answer_ms, s.reply_ms, s.drop_ms, s.reply_bytes, text, int, float, prob
+            "{:>5} {:>9.3} {:>9.3} {:>7.3} {:>9.3} {:>10} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
+            i,
+            s.answer_ms,
+            s.reply_ms,
+            s.drop_ms,
+            s.served_ms,
+            s.reply_bytes,
+            text,
+            int,
+            float,
+            prob
         );
     }
-    let doc = split_json(&splits, cores, smoke, n, rounds);
+    let doc = split_json(&splits, &served_qps, cores, smoke, n, rounds);
     let out_path = if smoke {
         "BENCH_readpath.json"
     } else {

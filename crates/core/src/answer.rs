@@ -13,11 +13,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use udi_query::{
-    execute, execute_aggregate, AggregateQuery, AnswerSet, AnswerTuple, ParseError, Query,
-    SourceAccumulator, TupleAccumulator,
+    execute, execute_aggregate, AggregateQuery, AnswerRefs, AnswerSet, ParseError, Query,
+    SourceAccumulator, SourceAnswer, TupleAccumulator,
 };
 use udi_schema::{AttrId, Mapping, MediatedSchema};
-use udi_store::{Row, Table};
+use udi_store::Table;
 
 use crate::prepared::{fan_out, Pooling, PreparedQuery, QueryPlan, SourceBindings};
 use crate::system::UdiSystem;
@@ -128,6 +128,20 @@ impl UdiSystem {
         text: &str,
         parent: u64,
     ) -> Result<AnswerSet, ParseError> {
+        Ok(self.answer_refs(path, text, parent)?.to_answer_set())
+    }
+
+    /// [`answer_with`](UdiSystem::answer_with) by reference: the same
+    /// answers, in the same order, with each tuple read in place from the
+    /// snapshot's tables (or an aggregate's group rows) instead of cloned
+    /// into an [`AnswerSet`]. The serving path renders these straight onto
+    /// the wire; [`AnswerRefs::to_answer_set`] gives the owned set.
+    pub fn answer_refs(
+        &self,
+        path: AnswerPath,
+        text: &str,
+        parent: u64,
+    ) -> Result<AnswerRefs<'_>, ParseError> {
         Ok(match path {
             AnswerPath::Aggregate => {
                 let q = udi_query::parse_aggregate_query(text)?;
@@ -159,6 +173,7 @@ impl UdiSystem {
     /// opens a root span, identical to [`answer`](UdiSystem::answer).
     pub fn answer_traced(&self, query: &Query, parent: u64) -> AnswerSet {
         self.answer_on(AnswerPath::Consolidated, Parsed::Select(query), parent)
+            .to_answer_set()
     }
 
     /// Compile `query` for the production (consolidated) path and return
@@ -185,6 +200,7 @@ impl UdiSystem {
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_with_pmed_traced(&self, query: &Query, parent: u64) -> AnswerSet {
         self.answer_on(AnswerPath::Pmed, Parsed::Select(query), parent)
+            .to_answer_set()
     }
 
     /// Answer `query` using **only** the single highest-probability mapping
@@ -201,6 +217,7 @@ impl UdiSystem {
     /// explicit span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_top_mapping_traced(&self, query: &Query, parent: u64) -> AnswerSet {
         self.answer_on(AnswerPath::TopMapping, Parsed::Select(query), parent)
+            .to_answer_set()
     }
 
     /// Answer `query` under **by-tuple** semantics (an extension; the
@@ -225,6 +242,7 @@ impl UdiSystem {
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_by_tuple_traced(&self, query: &Query, parent: u64) -> AnswerSet {
         self.answer_on(AnswerPath::ByTuple, Parsed::Select(query), parent)
+            .to_answer_set()
     }
 
     /// Answer a grouped aggregate query (an extension — the paper's
@@ -243,12 +261,15 @@ impl UdiSystem {
     /// span parent (see [`answer_traced`](UdiSystem::answer_traced)).
     pub fn answer_aggregate_traced(&self, query: &AggregateQuery, parent: u64) -> AnswerSet {
         self.answer_on(AnswerPath::Aggregate, Parsed::Aggregate(query), parent)
+            .to_answer_set()
     }
 
     /// The answer skeleton every path runs: open the `query.answer` span,
     /// look up (or compile) the plan for the path's pooling, execute each
     /// source under its bindings, and count what was scanned and produced.
-    fn answer_on(&self, path: AnswerPath, query: Parsed<'_>, parent: u64) -> AnswerSet {
+    /// The answers come back by reference; the library's `answer*` calls
+    /// make them owned, the server renders them as they are.
+    fn answer_on(&self, path: AnswerPath, query: Parsed<'_>, parent: u64) -> AnswerRefs<'_> {
         let mut span = self
             .engine()
             .recorder()
@@ -256,14 +277,14 @@ impl UdiSystem {
         span.field("path", path.name());
         let prepared = self.plan_for(path.pooling(), query);
         let Some(plan) = prepared.plan() else {
-            return AnswerSet::new();
+            return AnswerRefs::new();
         };
-        let (set, scanned, produced) = fan_out(self, plan, span.id(), |table, bindings| {
+        let (answers, scanned, produced) = fan_out(self, plan, span.id(), |table, bindings| {
             execute_source(path, query, table, bindings)
         });
         span.count("query.tuples.scanned", scanned);
         span.count("query.answers.produced", produced);
-        set
+        answers
     }
 
     /// Explain how `query` would be answered: per source, the distinct
@@ -487,44 +508,39 @@ impl UdiSystem {
 /// Execute one source under its pooled bindings — the only step in which
 /// the paths' execution differs: by-tuple combines rows as independent
 /// events (see [`UdiSystem::answer_by_tuple`]), every other path
-/// accumulates by-table, and an aggregate differs from a select only in the
-/// call that produces the rows. Each binding scans the whole table.
-fn execute_source(
+/// accumulates by-table, and an aggregate differs from a select only in
+/// that its tuples are the group rows it computed rather than rows of the
+/// table. Each binding scans the whole table; a select's tuples stay in
+/// the table, read by reference.
+fn execute_source<'a>(
     path: AnswerPath,
     query: Parsed<'_>,
-    table: &Table,
+    table: &'a Table,
     bindings: &[(Vec<usize>, f64)],
-) -> (Vec<AnswerTuple>, u64) {
-    let scanned = (bindings.len() * table.row_count()) as u64;
-    let tuples = match (path, query) {
+) -> SourceAnswer<'a> {
+    match (path, query) {
         (AnswerPath::ByTuple, Parsed::Select(q)) => {
             let mut acc = TupleAccumulator::new();
             for (columns, p) in bindings {
-                acc.add_mapping(execute(table, q, columns), *p);
+                acc.add_select(table, q, columns, *p);
             }
             acc.finish()
         }
-        (_, Parsed::Select(q)) => by_table(bindings, |columns| {
-            execute(table, q, columns).into_iter().map(|(_, row)| row)
-        }),
-        (_, Parsed::Aggregate(q)) => {
-            by_table(bindings, |columns| execute_aggregate(table, q, columns))
+        (_, Parsed::Select(q)) => {
+            let mut acc = SourceAccumulator::new();
+            for (columns, p) in bindings {
+                acc.add_select(table, q, columns, *p);
+            }
+            acc.finish()
         }
-    };
-    (tuples, scanned)
-}
-
-/// By-table accumulation over one source: add each binding's rows with its
-/// probability.
-fn by_table<R: IntoIterator<Item = Row>>(
-    bindings: &[(Vec<usize>, f64)],
-    rows: impl Fn(&[usize]) -> R,
-) -> Vec<AnswerTuple> {
-    let mut acc = SourceAccumulator::new();
-    for (columns, p) in bindings {
-        acc.add_mapping(rows(columns), *p);
+        (_, Parsed::Aggregate(q)) => {
+            let mut acc = SourceAccumulator::new();
+            for (columns, p) in bindings {
+                acc.add_rows(execute_aggregate(table, q, columns), *p);
+            }
+            acc.finish()
+        }
     }
-    acc.finish()
 }
 
 /// How one source would answer a query (see [`UdiSystem::explain`]).

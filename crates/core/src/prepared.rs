@@ -30,7 +30,8 @@
 //!   computed from replaced artifacts. Lookups emit `query.plan.hit` /
 //!   `query.plan.miss` counters.
 //! * `fan_out` (crate-private) — the executor: it runs a per-source step
-//!   over every source, sequentially and in catalog order. It spawns no
+//!   over every source, sequentially and in catalog order, and collects
+//!   the answers by reference ([`AnswerRefs`]). It spawns no
 //!   threads and takes no locks (the hot-path certificate proves it);
 //!   concurrency comes from serving many requests at once, not from
 //!   splitting one.
@@ -38,7 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use udi_query::{AnswerSet, AnswerTuple};
+use udi_query::{AnswerRefs, SourceAnswer};
 use udi_store::{SourceId, Table};
 
 use crate::system::UdiSystem;
@@ -313,8 +314,9 @@ impl Clone for PlanCache {
 }
 
 /// Execute `per_source` over every source in the catalog, **sequentially**
-/// and in catalog order, returning the merged [`AnswerSet`] plus the
-/// summed `(tuples scanned, answers produced)` counters.
+/// and in catalog order, returning the merged [`AnswerRefs`] (borrowing
+/// the snapshot's tables) plus the summed `(tuples scanned, answers
+/// produced)` counters: each binding scans its whole table.
 ///
 /// This is the executor behind every `UdiSystem::answer*` path: it spawns
 /// no threads and takes no locks, so the `effect-cert` audit pass can
@@ -324,21 +326,21 @@ impl Clone for PlanCache {
 /// source gets a `query.source` span parented on `parent`; without a sink
 /// those spans are skipped to keep the hot path free of per-source sink
 /// traffic.
-pub(crate) fn fan_out<F>(
-    sys: &UdiSystem,
+pub(crate) fn fan_out<'a, F>(
+    sys: &'a UdiSystem,
     plan: &QueryPlan,
     parent: u64,
     per_source: F,
-) -> (AnswerSet, u64, u64)
+) -> (AnswerRefs<'a>, u64, u64)
 where
-    F: Fn(&Table, &[(Vec<usize>, f64)]) -> (Vec<AnswerTuple>, u64),
+    F: Fn(&'a Table, &[(Vec<usize>, f64)]) -> SourceAnswer<'a>,
 {
     let trace = sys.engine().trace_enabled();
     let recorder = sys.engine().recorder();
-    // Every source runs before the answer set is built: growing the set
+    // Every source runs before the answers are gathered: growing the list
     // between scans interleaves its reallocations with the scans' own
     // allocations, which measured ~1.3x slower read-hot p50 latency.
-    let results: Vec<(SourceId, Vec<AnswerTuple>, u64)> = sys
+    let results: Vec<(SourceId, SourceAnswer<'a>, u64)> = sys
         .catalog()
         .iter_sources()
         .map(|(sid, table)| {
@@ -350,27 +352,28 @@ where
                     &[]
                 }
             };
-            let (tuples, s) = if trace {
+            let s = (bindings.len() * table.row_count()) as u64;
+            let answer = if trace {
                 let mut span = recorder.span_with_parent("query.source", parent);
                 span.field("source", idx);
-                let (tuples, s) = per_source(table, bindings);
+                let answer = per_source(table, bindings);
                 span.field("tuples_scanned", s);
-                span.field("answers", tuples.len());
-                (tuples, s)
+                span.field("answers", answer.len());
+                answer
             } else {
                 per_source(table, bindings)
             };
-            (sid, tuples, s)
+            (sid, answer, s)
         })
         .collect();
-    let mut set = AnswerSet::new();
+    let mut answers = AnswerRefs::new();
     let (mut scanned, mut produced) = (0u64, 0u64);
-    for (sid, tuples, s) in results {
+    for (sid, answer, s) in results {
         scanned += s;
-        produced += tuples.len() as u64;
-        set.add_source(sid, tuples);
+        produced += answer.len() as u64;
+        answers.add_source(sid, answer);
     }
-    (set, scanned, produced)
+    (answers, scanned, produced)
 }
 
 #[cfg(test)]

@@ -236,7 +236,7 @@ pub fn execute_aggregate(table: &Table, query: &AggregateQuery, columns: &[usize
         .collect();
 
     let mut groups: BTreeMap<Row, Vec<AggState>> = BTreeMap::new();
-    scan(table, &query.predicates, filter, |ri| {
+    for ri in scan(table, &query.predicates, filter) {
         let key: Row = group_slices
             .iter()
             .map(|s| s.get(ri).cloned().unwrap_or(Value::Null))
@@ -251,7 +251,7 @@ pub fn execute_aggregate(table: &Table, query: &AggregateQuery, columns: &[usize
         for (state, col) in states.iter_mut().zip(&agg_slices) {
             state.feed(col.and_then(|s| s.get(ri)));
         }
-    });
+    }
     if groups.is_empty() && query.group_by.is_empty() {
         // SQL: an ungrouped aggregate over zero rows still yields one row.
         groups.insert(

@@ -21,52 +21,79 @@ use crate::ast::{Predicate, PredicateTest, Query};
 /// by-tuple semantics needs: under it, every *source tuple* independently
 /// selects a mapping, so answer probabilities combine per producing row.
 ///
-/// `columns` that do not fit the query's clauses yield nothing.
+/// `columns` that do not fit the query's clauses yield nothing. The answer
+/// paths do not project: their accumulators read the selected cells in
+/// place ([`SourceAccumulator::add_select`](crate::SourceAccumulator::add_select)).
 pub fn execute(table: &Table, query: &Query, columns: &[usize]) -> Vec<(usize, Row)> {
     let Some((select, filter)) = columns.split_at_checked(query.select.len()) else {
         return Vec::new();
     };
     let select: Vec<&[Value]> = select.iter().map(|&c| column(table, c)).collect();
-    let mut out = Vec::new();
-    scan(table, &query.predicates, filter, |ri| {
-        let row = select
-            .iter()
-            .map(|s| s.get(ri).cloned().unwrap_or(Value::Null))
-            .collect();
-        out.push((ri, row));
-    });
-    out
+    scan(table, &query.predicates, filter)
+        .map(|ri| {
+            let row = select
+                .iter()
+                .map(|s| s.get(ri).cloned().unwrap_or(Value::Null))
+                .collect();
+            (ri, row)
+        })
+        .collect()
 }
 
-/// The predicate scan both executors share: call `hit` with the index of
-/// every row of `table`, in order, whose cell in `columns[i]` satisfies
-/// `predicates[i]` for every `i`. Each referenced attribute is one
-/// contiguous segment, so the scan strides a few slices instead of every
-/// row. A column count that does not match the predicates scans nothing.
-pub(crate) fn scan(
-    table: &Table,
-    predicates: &[Predicate],
+/// The predicate scan every executor shares: the index of every row of
+/// `table`, in order, whose cell in `columns[i]` satisfies `predicates[i]`
+/// for every `i`. Each referenced attribute is one contiguous segment, so
+/// the scan strides a few slices instead of every row. A column count that
+/// does not match the predicates scans nothing.
+pub(crate) fn scan<'t>(
+    table: &'t Table,
+    predicates: &'t [Predicate],
     columns: &[usize],
-    mut hit: impl FnMut(usize),
-) {
-    if predicates.len() != columns.len() {
-        return;
+) -> Scan<'t> {
+    let fits = predicates.len() == columns.len();
+    Scan {
+        tests: predicates
+            .iter()
+            .zip(columns)
+            .map(|(p, &c)| (p.prepare(), column(table, c)))
+            .collect(),
+        next: 0,
+        end: if fits { table.row_count() } else { 0 },
     }
-    let mut tests: Vec<(PredicateTest<'_>, &[Value])> = predicates
-        .iter()
-        .zip(columns)
-        .map(|(p, &c)| (p.prepare(), column(table, c)))
-        .collect();
-    'rows: for ri in 0..table.row_count() {
-        for (test, col) in &mut tests {
-            // Checked access: a short column (impossible for a well-formed
-            // table) reads as no-match instead of panicking.
-            let Some(v) = col.get(ri) else { continue 'rows };
-            if !test.test(v) {
-                continue 'rows;
+}
+
+/// The rows a [`scan`] has yet to test.
+pub(crate) struct Scan<'t> {
+    tests: Vec<(PredicateTest<'t>, &'t [Value])>,
+    next: usize,
+    end: usize,
+}
+
+impl Iterator for Scan<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        'rows: while self.next < self.end {
+            let ri = self.next;
+            self.next += 1;
+            for (test, col) in &mut self.tests {
+                // Checked access: a short column (impossible for a
+                // well-formed table) reads as no-match instead of
+                // panicking.
+                let Some(v) = col.get(ri) else { continue 'rows };
+                if !test.test(v) {
+                    continue 'rows;
+                }
             }
+            return Some(ri);
         }
-        hit(ri);
+        None
+    }
+
+    /// Exact when nothing is filtered: every remaining row matches.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end.saturating_sub(self.next);
+        (if self.tests.is_empty() { left } else { 0 }, Some(left))
     }
 }
 

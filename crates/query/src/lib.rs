@@ -20,7 +20,11 @@
 //!   source table on those columns, sharing one predicate scan;
 //! - [`AnswerSet`]: by-table probabilistic answers — per-source tuple
 //!   probabilities are summed over the mappings that produce the tuple, and
-//!   sources combine by probabilistic disjunction `1 − Π(1 − p_i)` (§2).
+//!   sources combine by probabilistic disjunction `1 − Π(1 − p_i)` (§2);
+//! - [`SourceAccumulator`] / [`TupleAccumulator`] / [`AnswerRefs`]: the
+//!   same answers by reference — each tuple is the `(binding, row)` that
+//!   first produced it, read in place from the source table (or an
+//!   aggregate's group rows) until an owned [`AnswerSet`] is asked for.
 //!
 //! # Quickstart
 //!
@@ -55,7 +59,9 @@ pub mod parse;
 mod rows;
 
 pub use aggregate::{execute_aggregate, AggFunc, Aggregate, AggregateQuery};
-pub use answer::{AnswerSet, AnswerTuple, SourceAccumulator, TupleAccumulator};
+pub use answer::{
+    AnswerRefs, AnswerSet, AnswerTuple, SourceAccumulator, SourceAnswer, TupleAccumulator,
+};
 pub use ast::{CompareOp, Predicate, Query};
 pub use exec::execute;
 pub use parse::{parse_aggregate_query, parse_query, ParseError};

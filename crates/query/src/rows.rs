@@ -1,7 +1,7 @@
 //! The insertion-ordered distinct-row store every row-keyed accumulator
 //! runs on: by-table mass per source ([`crate::SourceAccumulator`]),
-//! by-tuple provenance, and cross-source disjunction
-//! ([`crate::AnswerSet::combined`]).
+//! by-tuple provenance ([`crate::TupleAccumulator`]), and cross-source
+//! disjunction ([`crate::AnswerSet::combined`]).
 //!
 //! Answers are emitted in first-seen order, so the store keeps its entries
 //! in one `Vec` and finds them through a small open-addressing table of
@@ -9,12 +9,19 @@
 //! exactly once, on arrival, with [`RowHasher`], a fixed-key word hash (a
 //! pure function of the key's bytes: no seed, no dependency); the hash is
 //! kept beside its entry so growing the table never rehashes a row. A
-//! probe compares stored hashes first and confirms with `==`, so values
-//! that compare equal (`Int(2)` and `Float(2.0)`, which also hash alike)
-//! resolve to one entry, and keys whose hashes collide stay apart. Keys
-//! are moved in and moved out; the store never clones one.
+//! probe compares stored hashes first and confirms with equality, so
+//! values that compare equal (`Int(2)` and `Float(2.0)`, which also hash
+//! alike) resolve to one entry, and keys whose hashes collide stay apart.
+//! Keys are moved in and moved out; the store never clones one.
+//!
+//! A key need not hold its row. The by-reference accumulators key a tuple
+//! by the `(binding, row)` that first produced it and pass
+//! [`upsert_hashed`](DistinctRows::upsert_hashed) the hash of its cells
+//! ([`hash_cells`]) and an equality test that reads them in place.
 
 use std::hash::{Hash, Hasher};
+
+use udi_store::Value;
 
 /// An insertion-ordered map from distinct keys (rows, or row-derived keys
 /// such as `(row index, tuple index)`) to accumulated values.
@@ -101,25 +108,56 @@ fn hash_of<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
+/// The hash of a tuple read cell by cell. Cells that compare equal hash
+/// alike (see `Value`'s `Hash`), so tuples that compare equal cell by cell
+/// do too.
+pub(crate) fn hash_cells<'v>(cells: impl IntoIterator<Item = &'v Value>) -> u64 {
+    let mut h = RowHasher::default();
+    for cell in cells {
+        cell.hash(&mut h);
+    }
+    h.finish()
+}
+
 impl<K: Hash + Eq, V> DistinctRows<K, V> {
     /// Empty store.
     pub(crate) fn new() -> Self {
         DistinctRows::default()
     }
 
-    /// Whether no key was inserted.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Finds `key`, or appends it with `value`. Returns the key's position
     /// in insertion order and, when the key was already present, its value
     /// to update in place (the passed `key` and `value` are then dropped).
     pub(crate) fn upsert(&mut self, key: K, value: V) -> (usize, Option<&mut V>) {
+        let hash = hash_of(&key);
+        let found = self.probe(hash, |k| *k == key);
+        self.settle(found, hash, key, value)
+    }
+}
+
+impl<K, V> DistinctRows<K, V> {
+    /// [`upsert`](DistinctRows::upsert) for a key that is hashed and
+    /// compared through what it refers to: `hash` is the hash of the
+    /// key's content and `same(k)` whether a stored key `k` has the same
+    /// content. The first key of equal content stays in the store.
+    pub(crate) fn upsert_hashed(
+        &mut self,
+        hash: u64,
+        key: K,
+        value: V,
+        same: impl Fn(&K) -> bool,
+    ) -> (usize, Option<&mut V>) {
+        let found = self.probe(hash, same);
+        self.settle(found, hash, key, value)
+    }
+
+    /// Looks for an entry with hash `hash` that `same` accepts. On a miss,
+    /// points the empty slot the probe ended on at the entry about to be
+    /// appended, and returns `None`.
+    fn probe(&mut self, hash: u64, same: impl Fn(&K) -> bool) -> Option<usize> {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
             self.reslot((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        let hash = hash_of(&key);
         let mask = self.slots.len().wrapping_sub(1);
         // Truncating the hash to the table width is the point.
         let mut pos = (hash as usize) & mask;
@@ -131,19 +169,34 @@ impl<K: Hash + Eq, V> DistinctRows<K, V> {
                     if let Some(slot) = self.slots.get_mut(pos) {
                         *slot = self.entries.len() + 1;
                     }
-                    break;
+                    return None;
                 }
                 Some(occupied) => {
                     let i = occupied - 1;
                     if self.hashes.get(i) == Some(&hash)
-                        && self.entries.get(i).is_some_and(|(k, _)| *k == key)
+                        && self.entries.get(i).is_some_and(|(k, _)| same(k))
                     {
-                        return (i, self.entries.get_mut(i).map(|(_, v)| v));
+                        return Some(i);
                     }
                     pos = (pos + 1) & mask;
                 }
-                None => break,
+                None => return None,
             }
+        }
+        None
+    }
+
+    /// Ends an upsert: the found entry's value, or `key` and `value`
+    /// appended.
+    fn settle(
+        &mut self,
+        found: Option<usize>,
+        hash: u64,
+        key: K,
+        value: V,
+    ) -> (usize, Option<&mut V>) {
+        if let Some(i) = found {
+            return (i, self.entries.get_mut(i).map(|(_, v)| v));
         }
         self.entries.push((key, value));
         self.hashes.push(hash);
@@ -184,9 +237,7 @@ impl<K: Hash + Eq, V> DistinctRows<K, V> {
         }
         self.slots = slots;
     }
-}
 
-impl<K, V> DistinctRows<K, V> {
     /// The value of the entry at position `i` in insertion order.
     pub(crate) fn get_mut(&mut self, i: usize) -> Option<&mut V> {
         self.entries.get_mut(i).map(|(_, v)| v)

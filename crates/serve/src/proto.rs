@@ -11,15 +11,17 @@
 //! per-source catalog order, with probabilities in shortest-round-trip
 //! formatting. [`render_answers`] builds that array as a [`Json`] tree —
 //! the oracle the byte-identity tests run over the library result — and
-//! [`answer_reply_into`] streams the whole reply straight into a buffer
-//! through the same scalar renderers, so "server answer == library answer"
-//! stays a string equality without the tree on the serving path.
+//! one reply writer streams the whole reply straight into a buffer through
+//! the same scalar renderers, from an owned set ([`answer_reply_into`]) or
+//! from answers by reference ([`answer_into`](crate::answer_into)), so
+//! "server answer == library answer" stays a string equality without the
+//! tree on the serving path.
 
 use std::collections::BTreeMap;
 
 pub use udi_core::AnswerPath;
 use udi_query::AnswerSet;
-use udi_store::{Table, Value};
+use udi_store::{SourceId, Table, Value};
 
 use crate::json::{parse, render_float, render_int, render_string, Json, ParseJsonError};
 
@@ -329,9 +331,9 @@ pub fn render_answers(set: &AnswerSet) -> Json {
 /// key when `id` is `None`). The bytes equal
 /// `ok_response(id, generation, {answers: render_answers(set), path})`
 /// rendered, keys in the same sorted order, but no `Json` tree, per-tuple
-/// map or per-cell `String` clone is built on the way. A probability equal
-/// (by bits) to the previous tuple's is copied, not formatted again: most
-/// sources answer under one pooled binding, so ~97% of tuples repeat it.
+/// map or per-cell `String` clone is built on the way. This is the entry
+/// for an owned set; the server writes answers by reference through
+/// [`answer_into`](crate::answer_into), and both run one writer.
 pub fn answer_reply_into(
     id: Option<i64>,
     generation: u64,
@@ -339,32 +341,55 @@ pub fn answer_reply_into(
     set: &AnswerSet,
     out: &mut String,
 ) {
+    let sources = set.by_source().iter().map(|(sid, tuples)| {
+        let tuples = tuples.iter().map(|t| (t.probability, &t.values));
+        (*sid, tuples)
+    });
+    reply_into(id, generation, path, sources, out);
+}
+
+/// The one answer-reply writer, over any per-source list of tuples, each
+/// a probability and its cells in select order: an owned [`AnswerSet`]
+/// ([`answer_reply_into`]) or answers by reference
+/// ([`answer_into`](crate::answer_into)). A probability equal (by bits)
+/// to the previous tuple's is copied, not formatted again: most sources
+/// answer under one pooled binding, so ~97% of tuples repeat it.
+pub(crate) fn reply_into<'v, T, C>(
+    id: Option<i64>,
+    generation: u64,
+    path: AnswerPath,
+    sources: impl IntoIterator<Item = (SourceId, T)>,
+    out: &mut String,
+) where
+    T: IntoIterator<Item = (f64, C)>,
+    C: IntoIterator<Item = &'v Value>,
+{
     // The last probability rendered, keyed by its bits: `==` would
     // conflate `-0.0` with `0.0` (which render differently).
     let mut last_bits = None;
     let mut last_text = String::new();
     out.push_str(r#"{"answers":["#);
-    for (i, (sid, tuples)) in set.by_source().iter().enumerate() {
+    for (i, (sid, tuples)) in sources.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(r#"{"source":"#);
         render_int(i64::from(sid.0), out);
         out.push_str(r#","tuples":["#);
-        for (j, t) in tuples.iter().enumerate() {
+        for (j, (probability, cells)) in tuples.into_iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(r#"{"p":"#);
-            let bits = t.probability.to_bits();
+            let bits = probability.to_bits();
             if last_bits != Some(bits) {
                 last_text.clear();
-                render_float(t.probability, &mut last_text);
+                render_float(probability, &mut last_text);
                 last_bits = Some(bits);
             }
             out.push_str(&last_text);
             out.push_str(r#","values":["#);
-            for (k, value) in t.values.iter().enumerate() {
+            for (k, value) in cells.into_iter().enumerate() {
                 if k > 0 {
                     out.push(',');
                 }

@@ -18,10 +18,11 @@
 //! span whose id is the per-request trace id, and [`answer_into`] parents
 //! the library's `query.answer` span (and, through it, the per-source
 //! `query.source` spans) onto that id — one request, one connected trace
-//! tree. Both answer entries run [`UdiSystem::answer_with`]:
-//! [`answer_into`] streams the whole ok reply straight into the caller's
-//! buffer, and [`execute_answer`] renders a [`Json`] tree instead, kept as
-//! the oracle the identity tests and benches compare the wire against.
+//! tree. [`answer_into`] runs [`UdiSystem::answer_refs`] and streams the
+//! whole ok reply from the answers by reference straight into the
+//! caller's buffer; [`execute_answer`] runs [`UdiSystem::answer_with`] and
+//! renders a [`Json`] tree from the owned set instead, kept as the oracle
+//! the identity tests and benches compare the wire against.
 //! [`handle`] is the matching `Json`-valued dispatcher. Both answer
 //! entries are certified deterministic (`audit.toml [effects]`):
 //! everything reachable from them sticks to order-stable containers and
@@ -38,7 +39,7 @@ use udi_obs::{CounterSink, Recorder, Span};
 
 use crate::json::Json;
 use crate::proto::{
-    answer_reply_into, error_response, ok_response, render_answers, AnswerPath, Op, Request,
+    error_response, ok_response, render_answers, reply_into, AnswerPath, Op, Request,
 };
 
 /// One tenant, as an immutable published record.
@@ -340,9 +341,14 @@ pub fn execute_answer(
 }
 
 /// Parses and executes `query` on `path` against one snapshot and appends
-/// the whole ok reply to `out` through [`answer_reply_into`]. On a parse
-/// error nothing is appended. The serving read path: certified
-/// deterministic, lock-free, io-free and spawn-free (`audit.toml`).
+/// the whole ok reply to `out`, the bytes
+/// [`answer_reply_into`](crate::answer_reply_into) writes for
+/// the library's [`AnswerSet`](udi_query::AnswerSet). The answers stay by
+/// reference ([`UdiSystem::answer_refs`]): each tuple's cells are read
+/// from the snapshot's tables as they are written, so no row is copied
+/// and none freed afterwards. On a parse error nothing is appended. The
+/// serving read path: certified deterministic, lock-free, io-free and
+/// spawn-free (`audit.toml`).
 pub fn answer_into(
     sys: &UdiSystem,
     path: AnswerPath,
@@ -351,8 +357,12 @@ pub fn answer_into(
     id: Option<i64>,
     out: &mut String,
 ) -> Result<(), udi_query::ParseError> {
-    let set = sys.answer_with(path, query, parent)?;
-    answer_reply_into(id, sys.engine().generation(), path, &set, out);
+    let answers = sys.answer_refs(path, query, parent)?;
+    let sources = answers
+        .by_source()
+        .iter()
+        .map(|(sid, answer)| (*sid, answer.tuples()));
+    reply_into(id, sys.engine().generation(), path, sources, out);
     Ok(())
 }
 

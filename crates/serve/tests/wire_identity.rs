@@ -8,15 +8,25 @@
 //! floats, `i64::MIN`, nulls, empty sets, with and without an `id`), a
 //! second property whose probabilities repeat in runs, and the dispatchers
 //! on every answer path and every error reply.
+//!
+//! The server writes answers by reference ([`answer_into`]): cells are
+//! read from the snapshot's tables as they are written, never collected
+//! into the library's owned set. A third property pins those bytes to the
+//! oracle over the library set, on all five paths, on a corpus whose
+//! sources answer under several bindings; and the served path must emit
+//! the library path's spans and counters.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use udi_core::{UdiConfig, UdiSystem};
-use udi_query::{AnswerSet, AnswerTuple};
+use udi_datagen::{generate, Domain, GenConfig};
+use udi_obs::{EventKind, MemorySink};
+use udi_query::{parse_query, AnswerSet, AnswerTuple};
 use udi_serve::{
-    answer_reply_into, handle, handle_into, handle_line, ok_response, parse_request,
+    answer_into, answer_reply_into, handle, handle_into, handle_line, ok_response, parse_request,
     render_answers, AnswerPath, Json, ServeState,
 };
 use udi_store::{Catalog, SourceId, Table, Value};
@@ -248,4 +258,168 @@ fn handle_line_matches_handle_on_every_path_and_error() {
         handle_line(&state, r#"{"op":"answer","tenant":"t0"}"#),
         r#"{"error":"missing field `query`","ok":false}"#
     );
+}
+
+/// The People corpus (49 sources, 5–20 rows each). Home and office
+/// phones and addresses are ambiguous, so under queries such as
+/// `SELECT haddr, address` some sources answer under several bindings:
+/// the by-reference accumulators then fold tuples of one source that
+/// come from different columns.
+fn people_system() -> UdiSystem {
+    let gen = generate(
+        Domain::People,
+        &GenConfig {
+            seed: 7,
+            rows_min: 5,
+            rows_max: 20,
+            ..GenConfig::default()
+        },
+    );
+    UdiSystem::setup(gen.catalog, UdiConfig::default()).unwrap()
+}
+
+/// One People system shared by the property's cases.
+fn people() -> &'static UdiSystem {
+    static PEOPLE: OnceLock<UdiSystem> = OnceLock::new();
+    PEOPLE.get_or_init(people_system)
+}
+
+/// Attributes of the People corpus; `haddr` and `address` are the
+/// ambiguous pair.
+const PEOPLE_ATTRS: [&str; 8] = [
+    "address", "haddr", "hphone", "ophone", "name", "title", "age", "city",
+];
+
+/// A query text for `path` over [`PEOPLE_ATTRS`]: on the select paths,
+/// `SELECT attrs` with an optional filter; on the aggregate path, a
+/// `COUNT` grouped by the first attribute, or ungrouped over it.
+fn people_query(
+    path: AnswerPath,
+    attrs: &[&str],
+    filter: Option<(&str, &str)>,
+    grouped: bool,
+) -> String {
+    let filter = filter.map_or(String::new(), |(a, test)| format!(" WHERE {a} {test}"));
+    let first = attrs.first().copied().unwrap_or("name");
+    match path {
+        AnswerPath::Aggregate if grouped => {
+            format!("SELECT {first}, COUNT(*) FROM people{filter} GROUP BY {first}")
+        }
+        AnswerPath::Aggregate => format!("SELECT COUNT({first}) FROM people{filter}"),
+        _ => format!("SELECT {} FROM people{filter}", attrs.join(", ")),
+    }
+}
+
+/// `answer_into`'s bytes, appended after `kept|`, for `text` on `path`.
+fn served(sys: &UdiSystem, path: AnswerPath, text: &str, id: Option<i64>) -> String {
+    let mut out = String::from("kept|");
+    answer_into(sys, path, text, 0, id, &mut out).unwrap();
+    out
+}
+
+/// The oracle reply for `text` on `path` over the library's owned set.
+fn library(sys: &UdiSystem, path: AnswerPath, text: &str, id: Option<i64>) -> String {
+    let set = sys.answer_with(path, text, 0).unwrap();
+    format!("kept|{}", oracle(id, sys.engine().generation(), path, &set))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Answers written by reference equal the `Json`-tree oracle over the
+    /// library's owned set, on every path.
+    #[test]
+    fn served_answers_equal_the_library_oracle(
+        path in prop::sample::select(AnswerPath::ALL.to_vec()),
+        attrs in prop::collection::vec(prop::sample::select(PEOPLE_ATTRS.to_vec()), 1..4),
+        filtered in any::<bool>(),
+        filter_attr in prop::sample::select(PEOPLE_ATTRS.to_vec()),
+        filter_test in prop::sample::select(vec!["!= 'x'", "LIKE '%a%'", "> 30"]),
+        grouped in any::<bool>(),
+        id in id(),
+    ) {
+        let filter = filtered.then_some((filter_attr, filter_test));
+        let text = people_query(path, &attrs, filter, grouped);
+        let sys = people();
+        prop_assert_eq!(served(sys, path, &text, id), library(sys, path, &text, id), "{}", text);
+    }
+}
+
+/// The property's corpus reaches the multi-binding case, and on it the
+/// served bytes equal the oracle on all five paths.
+#[test]
+fn multi_binding_sources_are_served_like_the_library() {
+    let sys = people();
+    let q = parse_query("SELECT haddr, address FROM people").unwrap();
+    let multi = sys
+        .explain(&q)
+        .sources
+        .iter()
+        .filter(|s| s.bindings.len() >= 2)
+        .count();
+    assert!(multi >= 2, "{multi} sources answer under several bindings");
+    for path in AnswerPath::ALL {
+        for grouped in [false, true] {
+            let text = people_query(path, &["haddr", "address"], None, grouped);
+            assert_eq!(
+                served(sys, path, &text, Some(3)),
+                library(sys, path, &text, Some(3)),
+                "{text}"
+            );
+        }
+    }
+}
+
+/// A query's trace with what varies between two runs of it taken out:
+/// each `query.*` event's name, kind and fields, in order.
+fn query_trace(sink: &MemorySink) -> Vec<String> {
+    let events = sink.events();
+    let query = events.iter().filter(|e| e.name.starts_with("query."));
+    let trace = query.map(|e| {
+        let fields: Vec<String> = e.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let kind = match &e.kind {
+            EventKind::SpanEnd { .. } => "end".to_owned(),
+            other => format!("{other:?}"),
+        };
+        format!("{} {kind} {}", e.name, fields.join(","))
+    });
+    trace.collect()
+}
+
+/// Traced, the served path emits what the library path emits: one
+/// `query.answer` span, one `query.source` span per source with the same
+/// fields, and the same `query.tuples.scanned` / `query.answers.produced`
+/// totals, on one query per path.
+#[test]
+fn served_and_library_paths_trace_alike() {
+    let mut sys = people_system();
+    let sink = Arc::new(MemorySink::new());
+    sys.set_sink(Some(sink.clone()));
+    let sources = sys.catalog().source_count();
+    for path in AnswerPath::ALL {
+        let text = people_query(path, &["haddr", "address"], None, true);
+        // Compile first, so both traced runs hit the plan cache.
+        sys.answer_with(path, &text, 0).unwrap();
+        sink.clear();
+        served(&sys, path, &text, None);
+        let served_trace = query_trace(&sink);
+        let served_counts = [
+            sink.counter_total("query.tuples.scanned"),
+            sink.counter_total("query.answers.produced"),
+        ];
+        assert_eq!(sink.spans_named("query.answer").len(), 1, "{text}");
+        assert_eq!(sink.spans_named("query.source").len(), sources, "{text}");
+        sink.clear();
+        sys.answer_with(path, &text, 0).unwrap();
+        assert_eq!(query_trace(&sink), served_trace, "{text}");
+        assert_eq!(
+            [
+                sink.counter_total("query.tuples.scanned"),
+                sink.counter_total("query.answers.produced"),
+            ],
+            served_counts,
+            "{text}"
+        );
+        assert!(served_counts[0] > 0 && served_counts[1] > 0, "{text}");
+    }
 }
