@@ -24,7 +24,8 @@
 //!   machine-portable ratio) regressed more than 20% vs the recorded
 //!   baseline;
 //! * `--trace out.jsonl` — structured trace (`setup.block`,
-//!   `setup.score`, per-shard spans).
+//!   `setup.score`, and one `engine.pmapping.build` span per
+//!   recomputed (source, schema) p-mapping).
 
 use std::time::Instant;
 

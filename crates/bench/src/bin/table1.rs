@@ -32,7 +32,11 @@ fn main() {
         );
         span.field("n_rows", gen.catalog.total_rows() as u64);
         span.close();
-        let frequent = gen.catalog.frequent_attributes(0.10).len();
+        let frequent = gen
+            .catalog
+            .attribute_universe()
+            .filter(|a| gen.catalog.attribute_frequency(a) >= 0.10)
+            .count();
         println!(
             "{:<8} {:>6} {:>8} {:>10} {:>10}  {}",
             domain.name(),

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use udi_obs::{CounterSink, FanoutSink, Recorder, Sink, Stopwatch};
+use udi_obs::{CounterSink, FanoutSink, Recorder, Sink, Span, Stopwatch};
 use udi_schema::{
     assign_probabilities, build_similarity_graph_via, consolidate_schemas,
     enumerate_mediated_schemas, generate_pmapping_cached, AttrId, Consolidator, EdgeKind,
@@ -412,32 +412,22 @@ impl SetupEngine {
         // Judged pairs bypass blocking entirely: stage 1 pins them straight
         // into the cache.
         let stage2_cands: Option<Vec<(u32, u32)>> = if self.config.blocking {
-            let mut sb = s2.child("setup.block");
-            let vocab_len = self.schema_set.vocab().len();
-            while self.block.len() < vocab_len {
-                let count = self.block.len();
-                let next =
-                    u32::try_from(count)
-                        .map(AttrId)
-                        .map_err(|_| UdiError::IdSpaceExhausted {
+            let keys: Vec<u32> = nodes.iter().map(|a| a.0).collect();
+            let all = keys.len().saturating_sub(1) * keys.len() / 2;
+            Some(blocked(&s2, all, || {
+                let vocab_len = self.schema_set.vocab().len();
+                while self.block.len() < vocab_len {
+                    let count = self.block.len();
+                    let next = u32::try_from(count).map(AttrId).map_err(|_| {
+                        UdiError::IdSpaceExhausted {
                             what: "blocking attr",
                             count,
-                        })?;
-                self.block.insert(self.schema_set.vocab().name(next));
-            }
-            let keys: Vec<u32> = nodes.iter().map(|a| a.0).collect();
-            let cands = self.block.pairs_among(&keys);
-            let all = keys.len().saturating_sub(1) * keys.len() / 2;
-            self.recorder
-                .count("engine.block.candidates", cands.len() as u64);
-            self.recorder.count(
-                "engine.block.pruned",
-                all.saturating_sub(cands.len()) as u64,
-            );
-            sb.field("candidates", cands.len());
-            sb.field("pruned", all.saturating_sub(cands.len()));
-            sb.close();
-            Some(cands)
+                        }
+                    })?;
+                    self.block.insert(self.schema_set.vocab().name(next));
+                }
+                Ok(self.block.pairs_among(&keys))
+            })?)
         } else {
             None
         };
@@ -505,26 +495,18 @@ impl SetupEngine {
             // ordered: cluster attributes ascend (BTreeSet) and each one's
             // candidates ascend (the index emits them sorted).
             if self.config.blocking {
-                let mut sb = s3.child("setup.block");
-                let cands: Vec<(AttrId, AttrId)> = cluster_attrs
-                    .iter()
-                    .flat_map(|&c| {
-                        self.block
-                            .candidates_of(c.0)
-                            .into_iter()
-                            .map(move |a| (AttrId(a), c))
-                    })
-                    .collect();
                 let all = all_attrs.len() * cluster_attrs.len();
-                self.recorder
-                    .count("engine.block.candidates", cands.len() as u64);
-                self.recorder.count(
-                    "engine.block.pruned",
-                    all.saturating_sub(cands.len()) as u64,
-                );
-                sb.field("candidates", cands.len());
-                sb.field("pruned", all.saturating_sub(cands.len()));
-                sb.close();
+                let cands = blocked(&s3, all, || {
+                    Ok(cluster_attrs
+                        .iter()
+                        .flat_map(|&c| {
+                            self.block
+                                .candidates_of(c.0)
+                                .into_iter()
+                                .map(move |a| (AttrId(a), c))
+                        })
+                        .collect())
+                })?;
                 let ss = s3.child("setup.score");
                 ensure_pairs(
                     &mut self.sim_cache,
@@ -585,27 +567,6 @@ impl SetupEngine {
                     .count("engine.rows.computed", rows_computed_now as u64);
             }
 
-            // Per-shard telemetry: one span per shard with its dirty-row
-            // count, so traces show exactly which shard's candidates an
-            // incremental mutation touched. Trace-only (like the per-source
-            // query spans): too chatty for the counter aggregate.
-            if self.user_sink {
-                for (si, range) in self.catalog.shard_ranges().iter().enumerate() {
-                    let dirty = range
-                        .clone()
-                        .filter(|&i| {
-                            plan.get(i)
-                                .is_some_and(|row| row.iter().any(Option::is_none))
-                        })
-                        .count();
-                    let mut sp = self.recorder.span_with_parent("engine.shard", stage3_id);
-                    sp.field("shard", si);
-                    sp.field("sources", range.len());
-                    sp.field("dirty_sources", dirty);
-                    sp.close();
-                }
-            }
-
             let sources = self.schema_set.sources();
             let n = sources.len();
             // Take the old rows out for moving; on error below, the rows
@@ -662,42 +623,13 @@ impl SetupEngine {
             } else {
                 let n_workers = self.config.threads.min(n);
                 let chunk = n.div_ceil(n_workers);
-                // Shard ranges are the parallelism unit: when the catalog
-                // has at least as many shards as workers, part boundaries
-                // align with shard boundaries, so each worker touches whole
-                // shards and per-shard artifacts stay thread-local. Small
-                // catalogs (fewer shards than workers) fall back to plain
-                // contiguous chunking. Either way parts partition the
-                // sources in catalog order and results are concatenated in
-                // the same order, so the output is identical — partitioning
-                // is a wall-clock knob only.
-                let shard_ranges = self.catalog.shard_ranges();
+                // Contiguous parts in catalog order, concatenated back in
+                // the same order: the output does not depend on the worker
+                // count, which is a wall-clock knob only.
                 let mut parts: Vec<Vec<(usize, TakenRow)>> = Vec::new();
-                if shard_ranges.len() >= n_workers {
-                    let mut acc = 0usize;
-                    let mut sizes: Vec<usize> = Vec::new();
-                    for r in &shard_ranges {
-                        acc += r.len();
-                        if acc >= chunk {
-                            sizes.push(acc);
-                            acc = 0;
-                        }
-                    }
-                    if acc > 0 {
-                        sizes.push(acc);
-                    }
-                    for size in sizes {
-                        let take = size.min(work.len());
-                        parts.push(work.drain(..take).collect());
-                    }
-                    if !work.is_empty() {
-                        parts.push(std::mem::take(&mut work));
-                    }
-                } else {
-                    while !work.is_empty() {
-                        let take = chunk.min(work.len());
-                        parts.push(work.drain(..take).collect());
-                    }
+                while !work.is_empty() {
+                    let take = chunk.min(work.len());
+                    parts.push(work.drain(..take).collect());
                 }
                 let results: Vec<Result<Vec<Vec<PMapping>>, UdiError>> =
                     std::thread::scope(|scope| {
@@ -882,6 +814,25 @@ fn apply_feedback_overrides(
             }
         }
     }
+}
+
+/// Run one blocking step under a `setup.block` child of `parent`: `step`
+/// yields the candidate pairs kept out of `all` possible ones, and the span
+/// and the `engine.block.candidates` / `engine.block.pruned` counters
+/// record how many were kept and how many pruned.
+fn blocked<T>(
+    parent: &Span,
+    all: usize,
+    step: impl FnOnce() -> Result<Vec<T>, UdiError>,
+) -> Result<Vec<T>, UdiError> {
+    let mut span = parent.child("setup.block");
+    let cands = step()?;
+    let pruned = all.saturating_sub(cands.len());
+    span.count("engine.block.candidates", cands.len() as u64);
+    span.count("engine.block.pruned", pruned as u64);
+    span.field("candidates", cands.len());
+    span.field("pruned", pruned);
+    Ok(cands)
 }
 
 /// Fill the similarity cache for every requested pair, counting hits and

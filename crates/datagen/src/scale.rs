@@ -27,7 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use udi_store::{Catalog, Table, Value, DEFAULT_SHARD_CAPACITY};
+use udi_store::{Catalog, Table, Value};
 
 /// Number of concepts in the scale corpus: 13 disjoint two-letter
 /// alphabets cover the 26 lowercase letters exactly.
@@ -73,8 +73,6 @@ pub struct ScaleConfig {
     pub decorate_rate: f64,
     /// Probability that a cell is NULL.
     pub null_rate: f64,
-    /// Shard capacity [`scale_catalog`] builds the catalog with.
-    pub shard_capacity: usize,
 }
 
 impl Default for ScaleConfig {
@@ -86,7 +84,6 @@ impl Default for ScaleConfig {
             rows_max: 200,
             decorate_rate: 0.5,
             null_rate: 0.02,
-            shard_capacity: DEFAULT_SHARD_CAPACITY,
         }
     }
 }
@@ -254,11 +251,10 @@ pub fn scale_corpus(cfg: &ScaleConfig) -> impl Iterator<Item = Table> + '_ {
     (0..cfg.n_sources).map(move |i| scale_source(cfg, i))
 }
 
-/// Stream the corpus into a sharded [`Catalog`] (capacity
-/// [`ScaleConfig::shard_capacity`]). Peak memory is the catalog itself —
-/// no intermediate collection exists.
+/// Stream the corpus into a [`Catalog`]. Peak memory is the catalog
+/// itself — no intermediate collection exists.
 pub fn scale_catalog(cfg: &ScaleConfig) -> Catalog {
-    let mut catalog = Catalog::with_shard_capacity(cfg.shard_capacity);
+    let mut catalog = Catalog::new();
     for table in scale_corpus(cfg) {
         // `n_sources` is a usize config but ids are u32; stop streaming at
         // the id-space boundary rather than truncate ids.
@@ -357,17 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn catalog_streams_into_shards_of_the_configured_capacity() {
+    fn catalog_streams_every_source_in_order() {
         let cfg = ScaleConfig {
             n_sources: 20,
             rows_min: 1,
             rows_max: 2,
-            shard_capacity: 8,
             ..ScaleConfig::default()
         };
         let catalog = scale_catalog(&cfg);
         assert_eq!(catalog.source_count(), 20);
-        assert_eq!(catalog.shard_count(), 3);
-        assert_eq!(catalog.shard_ranges(), vec![0..8, 8..16, 16..20]);
+        for (id, t) in catalog.iter_sources() {
+            assert_eq!(t.name(), scale_source(&cfg, id.0 as usize).name());
+        }
     }
 }

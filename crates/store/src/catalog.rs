@@ -1,14 +1,8 @@
-//! The catalog of registered data sources, organized into shards.
+//! The catalog of registered data sources.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
-use crate::{Shard, StoreError, Table};
-
-/// Default number of sources per shard. Small enough that an incremental
-/// `add_source` touches a bounded slice, large enough that shard overhead
-/// is negligible at paper scale (≤ 817 sources is a single shard).
-pub const DEFAULT_SHARD_CAPACITY: usize = 1024;
+use crate::{StoreError, Table};
 
 /// Opaque identifier of a registered source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,60 +20,19 @@ impl std::fmt::Display for SourceId {
 /// - `A = attr(S1) ∪ ... ∪ attr(Sn)` (distinct attribute names), and
 /// - `f(a) = |{i | a ∈ Si}| / n`, the fraction of sources containing `a`.
 ///
-/// Sources are stored in contiguous [`Shard`]s of at most
-/// [`Catalog::shard_capacity`] tables each. Ids stay positional across the
-/// whole catalog (shard boundaries are invisible to id-based lookups); the
-/// shard structure exists so that scans, artifact building, and incremental
-/// updates can operate on bounded, independently parallelizable slices.
-#[derive(Debug, Clone)]
+/// Sources are one list in registration order; a source's id is its
+/// position in that list, so removing a source shifts later ids down by one.
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    shards: Vec<Shard>,
-    shard_capacity: usize,
-    /// attribute name → number of sources whose schema contains it
-    /// (catalog-wide; each shard holds its own slice of the same stat).
+    tables: Vec<Table>,
+    /// attribute name → number of sources whose schema contains it.
     attr_source_counts: BTreeMap<String, usize>,
 }
 
-impl Default for Catalog {
-    fn default() -> Catalog {
-        Catalog {
-            shards: Vec::new(),
-            shard_capacity: DEFAULT_SHARD_CAPACITY,
-            attr_source_counts: BTreeMap::new(),
-        }
-    }
-}
-
 impl Catalog {
-    /// Empty catalog with the default shard capacity.
+    /// Empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
-    }
-
-    /// Empty catalog whose shards hold at most `capacity` sources each.
-    /// A capacity of 0 is treated as 1.
-    pub fn with_shard_capacity(capacity: usize) -> Catalog {
-        Catalog {
-            shard_capacity: capacity.max(1),
-            ..Catalog::default()
-        }
-    }
-
-    /// Sources per shard.
-    pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
-    }
-
-    /// Resolve an id to `(shard index, local index)`.
-    fn locate(&self, id: usize) -> Option<(usize, usize)> {
-        let mut start = 0;
-        for (si, shard) in self.shards.iter().enumerate() {
-            if id < start + shard.len() {
-                return Some((si, id - start));
-            }
-            start += shard.len();
-        }
-        None
     }
 
     /// Register a source table, returning its id.
@@ -96,44 +49,22 @@ impl Catalog {
         for a in table.attributes() {
             *self.attr_source_counts.entry(a.clone()).or_insert(0) += 1;
         }
-        let needs_new = self
-            .shards
-            .last()
-            .is_none_or(|s| s.len() >= self.shard_capacity);
-        if needs_new {
-            self.shards.push(Shard::new());
-        }
-        if let Some(last) = self.shards.last_mut() {
-            last.push(table);
-        }
+        self.tables.push(table);
         Ok(id)
     }
 
-    /// Remove the source named `name`, returning the dropped table.
+    /// Remove the first source named `name`, returning the dropped table.
     ///
     /// Later source ids shift down by one (ids are positional); attribute
-    /// frequencies are updated in place, and a shard emptied by the removal
-    /// is dropped so shard ranges stay contiguous.
+    /// frequencies are updated in place.
     /// `Err(StoreError::UnknownSourceName)` when no source has that name.
     pub fn remove_source(&mut self, name: &str) -> Result<Table, StoreError> {
-        let (si, local) = self
-            .shards
+        let i = self
+            .tables
             .iter()
-            .enumerate()
-            .find_map(|(si, s)| {
-                s.tables()
-                    .iter()
-                    .position(|t| t.name() == name)
-                    .map(|local| (si, local))
-            })
+            .position(|t| t.name() == name)
             .ok_or_else(|| StoreError::UnknownSourceName(name.to_owned()))?;
-        let Some(shard) = self.shards.get_mut(si) else {
-            return Err(StoreError::UnknownSourceName(name.to_owned()));
-        };
-        let table = shard.remove(local);
-        if shard.is_empty() {
-            self.shards.remove(si);
-        }
+        let table = self.tables.remove(i);
         for a in table.attributes() {
             if let Some(c) = self.attr_source_counts.get_mut(a) {
                 *c -= 1;
@@ -147,60 +78,25 @@ impl Catalog {
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in source-id order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// Fetch a shard by index.
-    pub fn shard(&self, idx: usize) -> Option<&Shard> {
-        self.shards.get(idx)
-    }
-
-    /// The contiguous source-id range covered by each shard, in order.
-    /// Ranges partition `0..source_count()`.
-    pub fn shard_ranges(&self) -> Vec<Range<usize>> {
-        let mut start = 0;
-        self.shards
-            .iter()
-            .map(|s| {
-                let r = start..start + s.len();
-                start += s.len();
-                r
-            })
-            .collect()
-    }
-
-    /// The index of the shard holding `id`, if the id is registered.
-    pub fn shard_of(&self, id: SourceId) -> Option<usize> {
-        self.locate(id.0 as usize).map(|(si, _)| si)
+        self.tables.len()
     }
 
     /// Total number of rows across all sources.
     pub fn total_rows(&self) -> usize {
-        self.shards.iter().map(Shard::row_count).sum()
+        self.tables.iter().map(Table::row_count).sum()
     }
 
     /// Fetch a source by id.
     pub fn source(&self, id: SourceId) -> Result<&Table, StoreError> {
-        self.locate(id.0 as usize)
-            .and_then(|(si, local)| self.shards.get(si)?.table(local))
+        self.tables
+            .get(id.0 as usize)
             .ok_or(StoreError::UnknownSource(id.0))
     }
 
     /// Iterate `(id, table)` over all sources.
     pub fn iter_sources(&self) -> impl Iterator<Item = (SourceId, &Table)> {
-        self.shards
+        self.tables
             .iter()
-            .flat_map(|s| s.tables().iter())
             .enumerate()
             .map(|(i, t)| (SourceId(i as u32), t))
     }
@@ -232,17 +128,6 @@ impl Catalog {
         c as f64 / n as f64
     }
 
-    /// Attributes whose frequency is at least `theta`, in lexicographic
-    /// order (Algorithm 1 step 3).
-    pub fn frequent_attributes(&self, theta: f64) -> Vec<String> {
-        let n = self.source_count();
-        self.attr_source_counts
-            .iter()
-            .filter(|(_, &c)| n != 0 && c as f64 / n as f64 >= theta)
-            .map(|(a, _)| a.clone())
-            .collect()
-    }
-
     /// The ids of sources whose schema contains `attribute`.
     pub fn sources_with_attribute(&self, attribute: &str) -> Vec<SourceId> {
         self.iter_sources()
@@ -255,6 +140,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -273,18 +159,6 @@ mod tests {
         assert_eq!(c.attribute_frequency("phone"), 0.5);
         assert_eq!(c.attribute_frequency("email"), 0.25);
         assert_eq!(c.attribute_frequency("missing"), 0.0);
-    }
-
-    #[test]
-    fn frequent_attribute_filter() {
-        let c = catalog();
-        assert_eq!(
-            c.frequent_attributes(0.5),
-            vec!["name".to_string(), "phone".to_string()]
-        );
-        assert_eq!(c.frequent_attributes(0.76), vec![] as Vec<String>);
-        // Threshold 0 admits everything.
-        assert_eq!(c.frequent_attributes(0.0).len(), 5);
     }
 
     #[test]
@@ -319,10 +193,7 @@ mod tests {
         let c = Catalog::new();
         assert_eq!(c.source_count(), 0);
         assert_eq!(c.attribute_frequency("x"), 0.0);
-        assert!(c.frequent_attributes(0.0).is_empty());
         assert_eq!(c.total_rows(), 0);
-        assert_eq!(c.shard_count(), 0);
-        assert!(c.shard_ranges().is_empty());
     }
 
     #[test]
@@ -345,51 +216,123 @@ mod tests {
         assert_eq!(SourceId(3).to_string(), "S3");
     }
 
-    #[test]
-    fn sharding_splits_sources_into_contiguous_ranges() {
-        let mut c = Catalog::with_shard_capacity(2);
-        for i in 0..5 {
-            c.add_source(Table::new(format!("s{i}"), ["name"])).unwrap();
+    const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+    const ATTRS: [&str; 4] = ["email", "name", "phone", "title"];
+
+    /// One step of a random catalog history.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Register `NAMES[name]` with these attributes and this many rows.
+        Add(usize, Vec<&'static str>, usize),
+        /// Remove by the name of the first (0), a middle (1) or the last
+        /// (2) source, or by a name no source has (3).
+        Remove(usize),
+    }
+
+    /// The naive model: `(name, attributes, rows)` per source, in id order.
+    type Model = Vec<(&'static str, Vec<&'static str>, usize)>;
+
+    /// Whether `t` is the model's entry `m`.
+    fn is(t: &Table, m: &(&str, Vec<&str>, usize)) -> bool {
+        t.name() == m.0 && t.attributes().iter().eq(m.1.iter()) && t.row_count() == m.2
+    }
+
+    fn table(name: &str, attrs: &[&str], rows: usize) -> Table {
+        let mut t = Table::new(name, attrs.iter().copied());
+        for _ in 0..rows {
+            t.push_raw_row(attrs.iter().map(|_| "v")).unwrap();
         }
-        assert_eq!(c.shard_count(), 3);
-        assert_eq!(c.shard_ranges(), vec![0..2, 2..4, 4..5]);
-        assert_eq!(c.shard_of(SourceId(0)), Some(0));
-        assert_eq!(c.shard_of(SourceId(3)), Some(1));
-        assert_eq!(c.shard_of(SourceId(4)), Some(2));
-        assert_eq!(c.shard_of(SourceId(5)), None);
-        // Id-based access is oblivious to shard boundaries.
-        assert_eq!(c.source(SourceId(3)).unwrap().name(), "s3");
-        let ids: Vec<u32> = c.iter_sources().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        t
     }
 
-    #[test]
-    fn per_shard_counts_slice_the_global_stat() {
-        let mut c = Catalog::with_shard_capacity(2);
-        c.add_source(Table::new("a", ["name", "phone"])).unwrap();
-        c.add_source(Table::new("b", ["name"])).unwrap();
-        c.add_source(Table::new("c", ["phone"])).unwrap();
-        let per_shard: usize = c.shards().iter().map(|s| s.attribute_count("phone")).sum();
-        assert_eq!(per_shard, 2);
-        assert_eq!(c.shard(0).unwrap().attribute_count("name"), 2);
-        assert_eq!(c.shard(1).unwrap().attribute_count("name"), 0);
+    /// Compare every read of `c` with the model, recounting the model's
+    /// statistics from scratch.
+    fn assert_matches(c: &Catalog, model: &Model) {
+        let n = model.len();
+        assert_eq!(c.source_count(), n);
+        let ids: Vec<(SourceId, &str)> = c.iter_sources().map(|(id, t)| (id, t.name())).collect();
+        let want: Vec<(SourceId, &str)> = (0..n as u32)
+            .map(SourceId)
+            .zip(model.iter().map(|m| m.0))
+            .collect();
+        assert_eq!(ids, want);
+        for (i, m) in model.iter().enumerate() {
+            assert!(is(c.source(SourceId(i as u32)).unwrap(), m), "source {i}");
+        }
+        assert_eq!(
+            c.source(SourceId(n as u32)).err(),
+            Some(StoreError::UnknownSource(n as u32))
+        );
+        let mut counts = BTreeMap::new();
+        for a in model.iter().flat_map(|m| &m.1) {
+            *counts.entry(a.to_string()).or_insert(0) += 1;
+        }
+        assert_eq!(c.attr_source_counts(), &counts);
+        for a in ATTRS {
+            let f = match (n, counts.get(a)) {
+                (0, _) | (_, None) => 0.0,
+                (_, Some(&k)) => k as f64 / n as f64,
+            };
+            assert_eq!(c.attribute_frequency(a).to_bits(), f.to_bits(), "f({a})");
+        }
+        assert_eq!(c.total_rows(), model.iter().map(|m| m.2).sum::<usize>());
     }
 
-    #[test]
-    fn removal_drops_emptied_shards() {
-        let mut c = Catalog::with_shard_capacity(1);
-        c.add_source(Table::new("a", ["x"])).unwrap();
-        c.add_source(Table::new("b", ["y"])).unwrap();
-        c.add_source(Table::new("c", ["z"])).unwrap();
-        assert_eq!(c.shard_count(), 3);
-        c.remove_source("b").unwrap();
-        assert_eq!(c.shard_count(), 2);
-        assert_eq!(c.shard_ranges(), vec![0..1, 1..2]);
-        // Ids shifted: "c" is now id 1.
-        assert_eq!(c.source(SourceId(1)).unwrap().name(), "c");
-        // A later add reuses the tail shard only if it has room (capacity 1
-        // here, so a fresh shard opens).
-        c.add_source(Table::new("d", ["w"])).unwrap();
-        assert_eq!(c.shard_count(), 3);
+    /// Remove `name` from both and check the catalog returns the model's
+    /// first source of that name, or `UnknownSourceName` when there is none.
+    fn remove(c: &mut Catalog, model: &mut Model, name: &str) {
+        let got = c.remove_source(name);
+        match model.iter().position(|m| m.0 == name) {
+            Some(i) => assert!(is(&got.unwrap(), &model.remove(i))),
+            None => assert_eq!(got.err(), Some(StoreError::UnknownSourceName(name.into()))),
+        }
+    }
+
+    proptest! {
+        /// Random add/remove histories agree with the model after every
+        /// step: ids stay positional and shift down after a removal, and
+        /// the statistics equal a recount. Five names make duplicates
+        /// common; the history ends by removing down to empty.
+        #[test]
+        fn catalog_agrees_with_a_naive_model(
+            // `Add` is listed twice so adds outnumber removals 2:1 and
+            // histories reach the sizes where first, middle and last differ.
+            steps in prop::collection::vec(
+                prop_oneof![
+                    (0usize..5, prop::sample::subsequence(ATTRS.to_vec(), 1..5), 0usize..3)
+                        .prop_map(|(n, a, r)| Step::Add(n, a, r)),
+                    (0usize..5, prop::sample::subsequence(ATTRS.to_vec(), 1..5), 0usize..3)
+                        .prop_map(|(n, a, r)| Step::Add(n, a, r)),
+                    (0usize..4).prop_map(Step::Remove),
+                ],
+                0..30,
+            )
+        ) {
+            let mut c = Catalog::new();
+            let mut model: Model = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Add(name, attrs, rows) => {
+                        let id = c.add_source(table(NAMES[name], &attrs, rows)).unwrap();
+                        prop_assert_eq!(id, SourceId(model.len() as u32));
+                        model.push((NAMES[name], attrs, rows));
+                    }
+                    Step::Remove(at) => {
+                        let name = match (at, model.len()) {
+                            (3, _) | (_, 0) => "zz",
+                            (0, _) => model[0].0,
+                            (1, len) => model[len / 2].0,
+                            (_, len) => model[len - 1].0,
+                        };
+                        remove(&mut c, &mut model, name);
+                    }
+                }
+                assert_matches(&c, &model);
+            }
+            while let Some(&(name, _, _)) = model.last() {
+                remove(&mut c, &mut model, name);
+                assert_matches(&c, &model);
+            }
+        }
     }
 }

@@ -35,14 +35,12 @@
 pub mod catalog;
 pub mod csv;
 pub mod keyword;
-pub mod shard;
 pub mod table;
 pub mod value;
 
-pub use catalog::{Catalog, SourceId, DEFAULT_SHARD_CAPACITY};
+pub use catalog::{Catalog, SourceId};
 pub use csv::CsvError;
 pub use keyword::{KeywordIndex, RowRef};
-pub use shard::Shard;
 pub use table::{Row, Table};
 pub use value::{like_match, LikePattern, Value};
 
