@@ -216,6 +216,63 @@ mod tests {
         assert_eq!(SourceId(3).to_string(), "S3");
     }
 
+    // The next three tests predate the flat catalog, when sources were
+    // split into shards; the catalog is now a single contiguous range and
+    // they check what the shard tests checked of it.
+
+    #[test]
+    fn sharding_splits_sources_into_contiguous_ranges() {
+        let mut c = Catalog::new();
+        for i in 0..5 {
+            let id = c.add_source(Table::new(format!("s{i}"), ["name"])).unwrap();
+            assert_eq!(id, SourceId(i));
+        }
+        assert_eq!(c.source(SourceId(3)).unwrap().name(), "s3");
+        assert_eq!(
+            c.source(SourceId(5)).err(),
+            Some(StoreError::UnknownSource(5))
+        );
+        let ids: Vec<u32> = c.iter_sources().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn per_shard_counts_slice_the_global_stat() {
+        let mut c = Catalog::new();
+        c.add_source(table("a", &["name", "phone"], 2)).unwrap();
+        c.add_source(table("b", &["name"], 0)).unwrap();
+        c.add_source(table("c", &["phone"], 1)).unwrap();
+        // Each source's share of a count is its schema containing the
+        // attribute; the shares sum to the catalog-wide count.
+        for a in ["name", "phone", "zzz"] {
+            let per_source = c.iter_sources().filter(|(_, t)| t.has_attribute(a)).count();
+            let global = c.attr_source_counts().get(a).copied().unwrap_or(0);
+            assert_eq!(per_source, global, "{a}");
+        }
+        assert_eq!(c.attr_source_counts().get("name"), Some(&2));
+        assert_eq!(c.attr_source_counts().get("phone"), Some(&2));
+        assert_eq!(c.total_rows(), 3);
+    }
+
+    #[test]
+    fn removal_drops_emptied_shards() {
+        let mut c = Catalog::new();
+        c.add_source(table("a", &["x", "w"], 1)).unwrap();
+        c.add_source(table("b", &["y", "w"], 2)).unwrap();
+        c.add_source(table("c", &["z"], 0)).unwrap();
+        assert_eq!(c.remove_source("b").unwrap().name(), "b");
+        assert_eq!(c.source_count(), 2);
+        // Ids shifted: "c" is now id 1.
+        assert_eq!(c.source(SourceId(1)).unwrap().name(), "c");
+        // A count that reaches zero drops its entry; shared ones decrement.
+        assert!(!c.attr_source_counts().contains_key("y"));
+        assert_eq!(c.attr_source_counts().get("w"), Some(&1));
+        assert_eq!(c.total_rows(), 1);
+        // A later add takes the next id after the shift.
+        assert_eq!(c.add_source(Table::new("d", ["w"])).unwrap(), SourceId(2));
+        assert_eq!(c.attr_source_counts().get("w"), Some(&2));
+    }
+
     const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
     const ATTRS: [&str; 4] = ["email", "name", "phone", "title"];
 
