@@ -35,12 +35,14 @@
 //!
 //! `--smoke` runs a small corpus at 1–2 callers with no scaling assertion
 //! — the CI configuration, proving the binary and both identity checks
-//! work without paying for the full corpus.
+//! work without paying for the full corpus. `--trace out.jsonl` records a
+//! trace of the run. `--help` prints the flags; any other argument exits
+//! 2 before any corpus is generated.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use udi_bench::{banner, seed, sources_for, BenchObs};
+use udi_bench::{args_or_exit, banner, seed, sources_for, BenchObs};
 use udi_core::{AnswerPath, UdiConfig, UdiSystem};
 use udi_datagen::{generate, Domain, GenConfig};
 use udi_eval::generate_workload;
@@ -336,8 +338,14 @@ fn split_json(
     Json::Obj(doc)
 }
 
+const USAGE: &str = "usage: exp_qps [--smoke] [--trace PATH]
+  --smoke       small corpus at 1-2 callers; writes BENCH_readpath.json here
+                instead of results/BENCH_readpath.json
+  --trace PATH  write a JSON-lines trace of the run";
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args = args_or_exit(USAGE, &["--smoke"], &["--trace"]);
+    let smoke = args.iter().any(|a| a == "--smoke");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

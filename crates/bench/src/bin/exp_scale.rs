@@ -26,10 +26,13 @@
 //! * `--trace out.jsonl` — structured trace (`setup.block`,
 //!   `setup.score`, and one `engine.pmapping.build` span per
 //!   recomputed (source, schema) p-mapping).
+//!
+//! `--help` prints the flags; any other argument exits 2 before any
+//! corpus is generated.
 
 use std::time::Instant;
 
-use udi_bench::{banner, seed, BenchObs};
+use udi_bench::{arg_value, args_or_exit, banner, seed, BenchObs};
 use udi_core::{UdiConfig, UdiSystem};
 use udi_datagen::{scale_catalog, ScaleConfig};
 use udi_obs::json::{self, Json};
@@ -160,20 +163,6 @@ fn render_json(smoke: bool, entries: &[Entry], norm_blocked_1k: Option<f64>) -> 
     out
 }
 
-/// Parse `--flag` / `--flag VALUE` / `--flag=VALUE` style arguments.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_owned());
-        }
-    }
-    None
-}
-
 /// The `norm_blocked_1k` ratio of a baseline document: `Ok(None)` for a
 /// recorded `null` (the baseline run had no 1k pair), an error if the
 /// document is not JSON or has no such field.
@@ -233,8 +222,14 @@ fn gate_against_baseline(path: &str, current: Option<f64>) {
     println!("regression gate passed (within 20% of baseline)");
 }
 
+const USAGE: &str = "usage: exp_scale [--smoke] [--out PATH] [--baseline PATH] [--trace PATH]
+  --smoke          1k sources only (both paths)
+  --out PATH       artefact path (default results/BENCH_scale.json)
+  --baseline PATH  fail if blocked setup regressed >20% vs this artefact
+  --trace PATH     write a JSON-lines trace of the run";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE, &["--smoke"], &["--out", "--baseline", "--trace"]);
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path =
         arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_scale.json".to_owned());

@@ -15,14 +15,16 @@
 //! 3. **Refresh under load** — while the clients keep running, the main
 //!    thread publishes `add_source` mutations. Readers must never block on
 //!    a refresh: every in-flight response stays well-formed (`ok` or a
-//!    load-shed), and the tenant's generation advances once per mutation.
+//!    load-shed), and the tenant's generation advances at least once per
+//!    mutation.
 //!
 //! Results are persisted to `results/BENCH_qps.json` (override with
 //! `--out PATH`), schema `udi-exp-serve/v2`: v1 plus the host's core count
 //! (`host_cores`) and the build profile (`profile`), without which two
 //! artifacts cannot be compared. `--smoke` shrinks the corpus, client
 //! count, and measure window to CI size. `--trace out.jsonl` records the
-//! tenant's setup trace.
+//! tenant's setup trace. `--help` prints the flags; any other argument
+//! exits 2 before any corpus is generated.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -30,25 +32,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use udi_bench::{banner, seed, sources_for, BenchObs};
+use udi_bench::{arg_value, args_or_exit, banner, seed, sources_for, BenchObs};
 use udi_core::{UdiConfig, UdiSystem};
 use udi_datagen::{generate, Domain, GenConfig};
 use udi_eval::generate_workload;
 use udi_serve::{execute_answer, AnswerPath, ServeState, Server, ServerConfig};
 use udi_store::Table;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_owned());
-        }
-    }
-    None
-}
 
 /// One blocking request/response exchange on an established connection.
 fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
@@ -77,8 +66,13 @@ struct ClientResult {
     shed: u64,
 }
 
+const USAGE: &str = "usage: exp_serve [--smoke] [--out PATH] [--trace PATH]
+  --smoke       small corpus, few clients, short window
+  --out PATH    artefact path (default results/BENCH_qps.json)
+  --trace PATH  write a JSON-lines trace of the tenant's setup";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE, &["--smoke"], &["--out", "--trace"]);
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "results/BENCH_qps.json".to_owned());
     banner(if smoke {

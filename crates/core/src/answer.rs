@@ -181,9 +181,9 @@ impl UdiSystem {
     /// explicit `prepare` lets a serving loop warm the cache up front and
     /// inspect whether the query is answerable at all.
     ///
-    /// The plan is valid for the engine generation it was compiled under;
-    /// after any mutation (`add_source`, `remove_source`, `apply_feedback`)
-    /// the next answer recompiles automatically.
+    /// The plan reflects the artifacts it was compiled from; any mutation
+    /// (`add_source`, `remove_source`, `apply_feedback`) empties the cache,
+    /// so the next answer recompiles automatically.
     pub fn prepare(&self, query: &Query) -> Arc<PreparedQuery> {
         self.plan_for(Pooling::Consolidated, Parsed::Select(query))
     }
@@ -363,23 +363,17 @@ impl UdiSystem {
             .collect()
     }
 
-    /// Cache lookup for `(pooling, query text)` at the engine's current
-    /// generation, compiling on miss.
+    /// Cache lookup for `(pooling, query text)`, compiling on miss.
     fn plan_for(&self, pooling: Pooling, query: Parsed<'_>) -> Arc<PreparedQuery> {
-        self.plans().get_or_compile(
-            pooling,
-            &query.text(),
-            self.engine().generation(),
-            self.engine().recorder(),
-            || {
+        self.plans()
+            .get_or_compile(pooling, &query.text(), self.engine().recorder(), || {
                 let attrs = query.referenced_attributes();
                 match pooling {
                     Pooling::Consolidated => self.compile_consolidated(query, &attrs),
                     Pooling::Pmed => self.compile_pmed(query, &attrs),
                     Pooling::TopMapping => self.compile_top_mapping(query, &attrs),
                 }
-            },
-        )
+            })
     }
 
     /// Lower one pooled signature to the binding form execution reads: the

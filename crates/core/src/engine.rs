@@ -140,9 +140,8 @@ pub struct SetupEngine {
     /// always-on counter aggregate.
     user_sink: bool,
     /// Monotonic artifact generation: bumped by every mutation entry point
-    /// and every successful refresh. Prepared query plans are compiled
-    /// against one generation and silently recompiled when it moves — this
-    /// is the plan-cache invalidation rule (see `crate::prepared`).
+    /// and every successful refresh. It names the artifacts an answer was
+    /// computed from (the wire's `generation` field).
     generation: u64,
 }
 
@@ -215,9 +214,10 @@ impl SetupEngine {
     /// ([`add_source`](SetupEngine::add_source),
     /// [`remove_source`](SetupEngine::remove_source),
     /// [`apply_feedback`](SetupEngine::apply_feedback)) and every
-    /// successful [`refresh`](SetupEngine::refresh); anything derived from
-    /// the query-facing artifacts (prepared plans, external caches) is
-    /// stale once the generation it was built under differs from this.
+    /// successful [`refresh`](SetupEngine::refresh), so along one
+    /// system's history an unchanged generation means unchanged
+    /// query-facing artifacts. udi-serve puts it on the wire as
+    /// `generation`.
     pub fn generation(&self) -> u64 {
         self.generation
     }

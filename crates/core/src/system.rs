@@ -23,17 +23,24 @@ use crate::UdiError;
 /// mediated schema, p-mappings, and the consolidated schema exposed to
 /// users.
 ///
-/// `Clone` copies the engine's artifacts and snapshots the plan cache (the
-/// plans themselves are shared `Arc`s); telemetry sinks stay shared — see
-/// [`SetupEngine`]'s `Clone` notes. This is what makes the serve layer's
-/// clone-mutate-publish refresh cheap: the clone starts with every warm
-/// cache the original had.
-#[derive(Debug, Clone)]
+/// `Clone` copies the engine's artifacts, with their caches (telemetry
+/// sinks stay shared — see [`SetupEngine`]'s `Clone` notes), and starts
+/// an empty plan cache: a clone is made to be mutated (the serve layer's
+/// clone-mutate-publish refresh), and a mutation empties the cache anyway.
+#[derive(Debug)]
 pub struct UdiSystem {
     engine: SetupEngine,
-    /// Prepared-query plans, keyed by `(path, query text)` and validated
-    /// against the engine generation — see [`crate::prepared`].
+    /// Prepared-query plans, keyed by `(pooling, query text)`. Every
+    /// artifact mutation replaces the cache with an empty one
+    /// ([`mutate`](UdiSystem::mutate)), so each plan is current — see
+    /// [`crate::prepared`].
     plans: PlanCache,
+}
+
+impl Clone for UdiSystem {
+    fn clone(&self) -> UdiSystem {
+        UdiSystem::over(self.engine.clone())
+    }
 }
 
 impl UdiSystem {
@@ -49,12 +56,12 @@ impl UdiSystem {
     /// must be `Sync` so p-mapping generation can fan out across
     /// `config.threads` workers.
     ///
-    /// A system set up this way should keep using the `*_with_measure`
-    /// mutation variants with the *same* measure — the plain
-    /// [`add_source`](UdiSystem::add_source) /
-    /// [`apply_feedback`](UdiSystem::apply_feedback) rebuild the measure
-    /// from `config.measure`, which would mix two different similarity
-    /// functions into one similarity cache.
+    /// This is a batch entry point: `measure` is not kept. A later
+    /// mutation ([`add_source`](UdiSystem::add_source),
+    /// [`remove_source`](UdiSystem::remove_source),
+    /// [`apply_feedback`](UdiSystem::apply_feedback)) refreshes under the
+    /// measure `config.measure` builds, mixing two similarity functions
+    /// into one similarity cache unless the two agree.
     ///
     /// Blocking is force-disabled on this path, whatever `config` says:
     /// the n-gram index only scores pairs sharing a character bigram,
@@ -80,10 +87,15 @@ impl UdiSystem {
     ) -> Result<UdiSystem, UdiError> {
         let mut engine = SetupEngine::new(catalog, config);
         engine.refresh(measure)?;
-        Ok(UdiSystem {
+        Ok(UdiSystem::over(engine))
+    }
+
+    /// A system over `engine`, with an empty plan cache.
+    fn over(engine: SetupEngine) -> UdiSystem {
+        UdiSystem {
             engine,
             plans: PlanCache::new(),
-        })
+        }
     }
 
     /// [`setup`](UdiSystem::setup) with a trace sink installed *before* the
@@ -99,10 +111,7 @@ impl UdiSystem {
         let mut engine = SetupEngine::new(catalog, config);
         engine.set_sink(Some(sink));
         engine.refresh(&*measure)?;
-        Ok(UdiSystem {
-            engine,
-            plans: PlanCache::new(),
-        })
+        Ok(UdiSystem::over(engine))
     }
 
     /// Install (or, with `None`, remove) a trace sink on the underlying
@@ -134,10 +143,7 @@ impl UdiSystem {
         pmappings: Vec<Vec<PMapping>>,
     ) -> Result<UdiSystem, UdiError> {
         let engine = SetupEngine::from_parts(catalog, pmed, pmappings, UdiConfig::default())?;
-        Ok(UdiSystem {
-            engine,
-            plans: PlanCache::new(),
-        })
+        Ok(UdiSystem::over(engine))
     }
 
     /// Register a new source and re-configure incrementally: only the new
@@ -150,44 +156,14 @@ impl UdiSystem {
     /// surface keeps serving the last successful state, and a later
     /// successful mutation completes the new source.
     pub fn add_source(&mut self, table: Table) -> Result<(), UdiError> {
-        let measure = self.engine.config().measure.build();
-        self.add_source_with_measure(table, &*measure)
-    }
-
-    /// [`add_source`](UdiSystem::add_source) with a caller-supplied
-    /// measure — required for systems set up via
-    /// [`setup_with_measure`](UdiSystem::setup_with_measure). Pass the same
-    /// measure used at setup.
-    pub fn add_source_with_measure(
-        &mut self,
-        table: Table,
-        measure: &(dyn Similarity + Sync),
-    ) -> Result<(), UdiError> {
-        self.engine.add_source(table)?;
-        let out = self.engine.refresh(measure);
-        self.plans = PlanCache::new();
-        out
+        self.mutate(|engine| engine.add_source(table))
     }
 
     /// Drop the source named `name` and re-configure incrementally.
     /// Returns the removed table. Attribute ids stay stable; attributes
     /// now orphaned simply fall out of the frequent set.
     pub fn remove_source(&mut self, name: &str) -> Result<Table, UdiError> {
-        let measure = self.engine.config().measure.build();
-        self.remove_source_with_measure(name, &*measure)
-    }
-
-    /// [`remove_source`](UdiSystem::remove_source) with a caller-supplied
-    /// measure.
-    pub fn remove_source_with_measure(
-        &mut self,
-        name: &str,
-        measure: &(dyn Similarity + Sync),
-    ) -> Result<Table, UdiError> {
-        let table = self.engine.remove_source(name)?;
-        self.engine.refresh(measure)?;
-        self.plans = PlanCache::new();
-        Ok(table)
+        self.mutate(|engine| engine.remove_source(name))
     }
 
     /// Fold human judgments in and re-configure incrementally: judged
@@ -197,19 +173,24 @@ impl UdiSystem {
     /// [`setup_with_measure`](UdiSystem::setup_with_measure) under
     /// [`Feedback::wrap`], at a fraction of the work.
     pub fn apply_feedback(&mut self, feedback: &Feedback) -> Result<(), UdiError> {
-        let measure = self.engine.config().measure.build();
-        self.apply_feedback_with_measure(feedback, &*measure)
+        self.mutate(|engine| {
+            engine.apply_feedback(feedback);
+            Ok(())
+        })
     }
 
-    /// [`apply_feedback`](UdiSystem::apply_feedback) with a caller-supplied
-    /// base measure.
-    pub fn apply_feedback_with_measure(
+    /// Every mutation runs through here: apply `change` to the engine,
+    /// refresh under `config.measure`, then empty the plan cache, on
+    /// success and on error alike. This is the plan cache's one
+    /// invalidation rule.
+    fn mutate<T>(
         &mut self,
-        feedback: &Feedback,
-        measure: &(dyn Similarity + Sync),
-    ) -> Result<(), UdiError> {
-        self.engine.apply_feedback(feedback);
-        let out = self.engine.refresh(measure);
+        change: impl FnOnce(&mut SetupEngine) -> Result<T, UdiError>,
+    ) -> Result<T, UdiError> {
+        let out = change(&mut self.engine).and_then(|value| {
+            let measure = self.engine.config().measure.build();
+            self.engine.refresh(&*measure).map(|()| value)
+        });
         self.plans = PlanCache::new();
         out
     }
@@ -224,8 +205,8 @@ impl UdiSystem {
         &self.plans
     }
 
-    /// Number of cached query plans, current or stale — a diagnostic for
-    /// tests and serving dashboards.
+    /// Number of cached query plans — a diagnostic for tests and serving
+    /// dashboards.
     pub fn plan_cache_len(&self) -> usize {
         self.plans.len()
     }
@@ -447,6 +428,24 @@ mod tests {
             udi.remove_source("nope"),
             Err(UdiError::Store(StoreError::UnknownSourceName(_)))
         ));
+    }
+
+    #[test]
+    fn failed_mutation_still_empties_the_plan_cache() {
+        let mut catalog = Catalog::new();
+        let mut t = Table::new("s1", ["name", "phone"]);
+        t.push_raw_row(["Alice", "123"]).unwrap();
+        catalog.add_source(t).unwrap();
+        let mut udi = UdiSystem::setup(catalog, UdiConfig::default()).unwrap();
+        udi.answer(&udi_query::parse_query("SELECT name FROM people").unwrap());
+        assert_eq!(udi.plan_cache_len(), 1);
+        // Removing the last source leaves nothing to configure: the
+        // refresh fails, but the engine has moved, so the plan must go.
+        assert!(matches!(
+            udi.remove_source("s1"),
+            Err(UdiError::EmptyCatalog)
+        ));
+        assert_eq!(udi.plan_cache_len(), 0);
     }
 
     #[test]

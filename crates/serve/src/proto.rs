@@ -420,7 +420,7 @@ fn render_value(value: &Value, out: &mut String) {
     }
 }
 
-/// A publish generation as the wire's `i64`, saturating.
+/// An engine generation as the wire's `i64`, saturating.
 fn wire_generation(generation: u64) -> i64 {
     i64::try_from(generation).unwrap_or(i64::MAX)
 }
