@@ -23,6 +23,12 @@
 //! against `answer_reply_into` over the library's owned `AnswerSet`; a
 //! difference exits non-zero.
 //!
+//! `answer_into` is the uncached path, so scan cost stays visible. The
+//! server serves a repeat from the tenant record's answer cache: the last
+//! throughput rows run `udi_serve::handle_into` on a registered tenant,
+//! at 1 and 2 callers, where every request after the first of each query
+//! is a hit. Their replies are checked against `answer_into`'s first.
+//!
 //! It then splits one sequential read into its layers, per query: the
 //! library path (`answer`, then `answer_reply_into`, then the drop of the
 //! answer set), the whole served reply (`answer_into` into a reused
@@ -48,7 +54,7 @@ use udi_datagen::{generate, Domain, GenConfig};
 use udi_eval::generate_workload;
 use udi_obs::json::{render_float, render_int, render_string, Json};
 use udi_query::{AnswerSet, Query};
-use udi_serve::{answer_into, answer_reply_into};
+use udi_serve::{answer_into, answer_reply_into, handle_into, parse_request, Request, ServeState};
 use udi_store::Value;
 
 /// Exact fingerprint of an answer set: source id, rendered values, raw
@@ -107,6 +113,83 @@ fn served_caller(udi: &UdiSystem, texts: &[String], window: Duration) -> u64 {
         passes += 1;
     }
     written
+}
+
+/// One cache-on caller: `handle_into` over every request into one reused
+/// buffer until `window` has elapsed (at least two passes). Returns how
+/// many replies it wrote.
+fn cached_caller(state: &ServeState, requests: &[Request], window: Duration) -> u64 {
+    let mut out = String::new();
+    let t0 = Instant::now();
+    let (mut written, mut passes) = (0u64, 0u64);
+    while t0.elapsed() < window || passes < 2 {
+        for req in requests {
+            out.clear();
+            handle_into(state, req, &mut out);
+            std::hint::black_box(out.len());
+            written += 1;
+        }
+        passes += 1;
+    }
+    written
+}
+
+/// Replies/sec with 1 and then 2 threads each running `caller` (which
+/// returns how many replies it wrote), printed under `label`.
+fn replies_at_1_and_2(label: &str, caller: impl Fn() -> u64 + Sync) -> Vec<(usize, f64)> {
+    println!("{:>8} {:>12} {:>9}", "callers", label, "speedup");
+    let mut rows: Vec<(usize, f64)> = Vec::new();
+    for callers in [1, 2] {
+        let t0 = Instant::now();
+        let written: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers).map(|_| scope.spawn(&caller)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller thread"))
+                .sum()
+        });
+        let qps = written as f64 / t0.elapsed().as_secs_f64();
+        let speedup = qps / rows.first().map_or(qps, |&(_, q)| q);
+        println!("{callers:>8} {qps:>12.1} {speedup:>8.2}x");
+        rows.push((callers, qps));
+    }
+    rows
+}
+
+/// The `answer` request for `text` on the consolidated path, with id 1,
+/// to tenant `TENANT`, as it comes off the wire.
+fn answer_request(text: &str) -> Request {
+    let mut line = String::from(r#"{"op":"answer","tenant":""#);
+    line.push_str(TENANT);
+    line.push_str(r#"","id":1,"query":"#);
+    render_string(text, &mut line);
+    line.push('}');
+    parse_request(&line).expect("a well-formed request")
+}
+
+/// The tenant the cache-on rows register.
+const TENANT: &str = "car";
+
+/// Whether `handle_into` writes `answer_into`'s reply for every request,
+/// on the miss that fills the answer cache and on the hit after it;
+/// prints each query that differs.
+fn cached_matches_served(state: &ServeState, udi: &UdiSystem, requests: &[Request]) -> bool {
+    let mut same = true;
+    for (i, req) in requests.iter().enumerate() {
+        let text = req.query.as_deref().unwrap_or_default();
+        let mut served = String::new();
+        answer_into(udi, AnswerPath::Consolidated, text, 0, Some(1), &mut served)
+            .expect("workload queries parse");
+        for round in ["miss", "hit"] {
+            let mut cached = String::new();
+            handle_into(state, req, &mut cached);
+            if cached != served {
+                eprintln!("query {i} ({text}): handle_into ({round}) differs from answer_into");
+                same = false;
+            }
+        }
+    }
+    same
 }
 
 /// Whether `answer_into` writes, for every query text, the bytes
@@ -258,6 +341,7 @@ fn ms_json(ms: f64) -> Json {
 fn split_json(
     splits: &[Split],
     served_qps: &[(usize, f64)],
+    cached_qps: &[(usize, f64)],
     host_cores: usize,
     smoke: bool,
     sources: usize,
@@ -327,13 +411,17 @@ fn split_json(
     doc.insert("sources".to_owned(), Json::Int(sources as i64));
     doc.insert("rounds".to_owned(), Json::Int(rounds as i64));
     doc.insert("queries".to_owned(), Json::Arr(per_query));
-    let served = served_qps.iter().map(|&(callers, qps)| {
-        let mut obj = BTreeMap::new();
-        obj.insert("callers".to_owned(), Json::Int(callers as i64));
-        obj.insert("replies_per_s".to_owned(), Json::Float(qps.round()));
-        Json::Obj(obj)
-    });
-    doc.insert("served_qps".to_owned(), Json::Arr(served.collect()));
+    let rows = |qps_at: &[(usize, f64)]| {
+        let rows = qps_at.iter().map(|&(callers, qps)| {
+            let mut obj = BTreeMap::new();
+            obj.insert("callers".to_owned(), Json::Int(callers as i64));
+            obj.insert("replies_per_s".to_owned(), Json::Float(qps.round()));
+            Json::Obj(obj)
+        });
+        Json::Arr(rows.collect())
+    };
+    doc.insert("served_qps".to_owned(), rows(served_qps));
+    doc.insert("served_cached_qps".to_owned(), rows(cached_qps));
     doc.insert("total".to_owned(), Json::Obj(layers(&total)));
     Json::Obj(doc)
 }
@@ -467,24 +555,21 @@ fn main() {
         std::process::exit(1);
     }
     println!("answer_into replies equal answer_reply_into on every hot query");
-    println!("{:>8} {:>12} {:>9}", "callers", "replies/s", "speedup");
-    let mut served_qps: Vec<(usize, f64)> = Vec::new();
-    for callers in [1, 2] {
-        let t0 = Instant::now();
-        let written: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..callers)
-                .map(|_| scope.spawn(|| served_caller(&udi, &texts, window)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("served caller thread"))
-                .sum()
-        });
-        let qps = written as f64 / t0.elapsed().as_secs_f64();
-        let speedup = qps / served_qps.first().map_or(qps, |&(_, q)| q);
-        println!("{callers:>8} {qps:>12.1} {speedup:>8.2}x");
-        served_qps.push((callers, qps));
+    let served_qps = replies_at_1_and_2("replies/s", || served_caller(&udi, &texts, window));
+
+    // The served path with the answer cache on: the system moves into a
+    // registered tenant, whose record caches each reply's prefix.
+    let state = ServeState::new();
+    state.register_tenant(TENANT, udi);
+    let udi = state.tenant(TENANT).expect("registered").snapshot();
+    let requests: Vec<Request> = texts.iter().map(|t| answer_request(t)).collect();
+    println!();
+    if !cached_matches_served(&state, &udi, &requests) {
+        eprintln!("handle_into diverged from answer_into");
+        std::process::exit(1);
     }
+    println!("handle_into replies (answer-cache miss and hit) equal answer_into");
+    let cached_qps = replies_at_1_and_2("cached/s", || cached_caller(&state, &requests, window));
 
     // The layer split, best of `rounds` sequential reads per query.
     let rounds = if smoke { 5 } else { 20 };
@@ -511,7 +596,7 @@ fn main() {
             prob
         );
     }
-    let doc = split_json(&splits, &served_qps, cores, smoke, n, rounds);
+    let doc = split_json(&splits, &served_qps, &cached_qps, cores, smoke, n, rounds);
     let out_path = if smoke {
         "BENCH_readpath.json"
     } else {

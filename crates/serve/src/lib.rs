@@ -19,9 +19,11 @@
 //!   replaced wholesale on mutation so reads stay lock-free.
 //!   Readers load an `Arc` and never block; mutations clone the snapshot,
 //!   re-run setup off to the side, and publish atomically
-//!   (clone-mutate-publish). [`answer_into`] (the served path) and
-//!   [`execute_answer`] (its `Json`-tree oracle) are the certified
-//!   deterministic entry points.
+//!   (clone-mutate-publish). Each record caches the reply prefixes it
+//!   has rendered, so a publish starts an empty answer cache.
+//!   [`Tenant::answer_into`] (the served path, cache included),
+//!   [`answer_into`] (its uncached fallback) and [`execute_answer`] (their
+//!   `Json`-tree oracle) are the certified deterministic entry points.
 //! - **Server** ([`server`]): thread-per-core blocking workers behind a
 //!   bounded admission queue; when the queue fills, readers shed load at
 //!   the edge with an `overloaded` response instead of buffering latency.
@@ -66,6 +68,7 @@ pub use proto::{
 pub use server::{handle_line, Server, ServerConfig};
 pub use state::{
     answer_into, execute_answer, handle, handle_into, stats_response, ServeState, Tenant,
+    ANSWER_CACHE_BYTES,
 };
 pub use udi_obs::json;
 pub use udi_obs::json::{Json, ParseJsonError};

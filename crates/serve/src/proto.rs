@@ -345,19 +345,21 @@ pub fn answer_reply_into(
         let tuples = tuples.iter().map(|t| (t.probability, &t.values));
         (*sid, tuples)
     });
-    reply_into(id, generation, path, sources, out);
+    reply_prefix_into(generation, sources, out);
+    reply_tail_into(id, path, out);
 }
 
-/// The one answer-reply writer, over any per-source list of tuples, each
-/// a probability and its cells in select order: an owned [`AnswerSet`]
-/// ([`answer_reply_into`]) or answers by reference
-/// ([`answer_into`](crate::answer_into)). A probability equal (by bits)
-/// to the previous tuple's is copied, not formatted again: most sources
-/// answer under one pooled binding, so ~97% of tuples repeat it.
-pub(crate) fn reply_into<'v, T, C>(
-    id: Option<i64>,
+/// The one answer-reply writer, in two halves split at the
+/// `generation`/`id` seam. This half appends what depends only on the
+/// snapshot and the query, `{"answers":[…],"generation":G`, over any
+/// per-source list of tuples, each a probability and its cells in select
+/// order: an owned [`AnswerSet`] ([`answer_reply_into`]) or answers by
+/// reference ([`answer_into`](crate::answer_into)); a tenant's answer
+/// cache stores exactly these bytes. A probability equal (by bits) to the
+/// previous tuple's is copied, not formatted again: most sources answer
+/// under one pooled binding, so ~97% of tuples repeat it.
+pub(crate) fn reply_prefix_into<'v, T, C>(
     generation: u64,
-    path: AnswerPath,
     sources: impl IntoIterator<Item = (SourceId, T)>,
     out: &mut String,
 ) where
@@ -401,6 +403,12 @@ pub(crate) fn reply_into<'v, T, C>(
     }
     out.push_str(r#"],"generation":"#);
     render_int(wire_generation(generation), out);
+}
+
+/// The per-request half of the answer-reply writer, appended after
+/// [`reply_prefix_into`]'s bytes: `,"id":I,"ok":true,"path":"P"}` (no
+/// `id` key when `id` is `None`).
+pub(crate) fn reply_tail_into(id: Option<i64>, path: AnswerPath, out: &mut String) {
     if let Some(id) = id {
         out.push_str(r#","id":"#);
         render_int(id, out);

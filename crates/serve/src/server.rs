@@ -4,8 +4,9 @@
 //! One detached reader thread per connection parses lines off the socket
 //! and offers them to a bounded `JobQueue`. A fixed pool of worker
 //! threads (default: one per core) drains the queue, dispatches through
-//! [`crate::state::handle_into`], and writes the reply back on the
-//! connection. When the queue is full the *reader* writes the load-shed
+//! [`crate::state::handle_into`] (which writes a repeat of a query on one
+//! tenant record from the record's answer cache), and writes the reply
+//! back on the connection. When the queue is full the *reader* writes the load-shed
 //! response directly — admission control rejects at the edge instead of
 //! letting latency collapse under unbounded buffering.
 //!

@@ -15,9 +15,15 @@
 //! oracle over the library set, on all five paths, on a corpus whose
 //! sources answer under several bindings; and the served path must emit
 //! the library path's spans and counters.
+//!
+//! The dispatcher serves a repeat of a query on one tenant record from the
+//! record's answer cache. The last tests pin a hit's bytes to a miss's and
+//! to the oracle, show that a publish never serves a stale reply, that a
+//! parse error is never kept, that a full cache still answers correctly,
+//! and that racing misses of one key keep one entry.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use proptest::prelude::*;
 
@@ -27,7 +33,7 @@ use udi_obs::{EventKind, MemorySink};
 use udi_query::{parse_query, AnswerSet, AnswerTuple};
 use udi_serve::{
     answer_into, answer_reply_into, handle, handle_into, handle_line, ok_response, parse_request,
-    render_answers, AnswerPath, Json, ServeState,
+    render_answers, AnswerPath, Json, ServeState, ANSWER_CACHE_BYTES,
 };
 use udi_store::{Catalog, SourceId, Table, Value};
 
@@ -422,4 +428,238 @@ fn served_and_library_paths_trace_alike() {
         );
         assert!(served_counts[0] > 0 && served_counts[1] > 0, "{text}");
     }
+}
+
+/// A fresh server state serving the People corpus as tenant `t0`.
+fn people_state() -> ServeState {
+    let state = ServeState::new();
+    state.register_tenant("t0", people_system());
+    state
+}
+
+/// One People state shared by the hit ≡ miss property's cases.
+fn shared_people_state() -> &'static ServeState {
+    static STATE: OnceLock<ServeState> = OnceLock::new();
+    STATE.get_or_init(people_state)
+}
+
+/// An `answer` request line for tenant `t0`.
+fn answer_line(path: AnswerPath, text: &str, id: Option<i64>) -> String {
+    let id = id.map_or(String::new(), |id| format!(r#","id":{id}"#));
+    format!(
+        r#"{{"op":"answer","tenant":"t0","path":"{}","query":"{text}"{id}}}"#,
+        path.name()
+    )
+}
+
+/// The `Json`-valued dispatcher's reply to `line`, which never consults
+/// the answer cache.
+fn uncached(state: &ServeState, line: &str) -> String {
+    handle(state, &parse_request(line).unwrap()).render()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A repeat of a query is an answer-cache hit, and its bytes equal a
+    /// miss's and the uncached dispatcher's, on every path, whatever `id`
+    /// either request carries.
+    #[test]
+    fn answer_cache_hits_equal_misses_and_the_oracle(
+        path in prop::sample::select(AnswerPath::ALL.to_vec()),
+        attrs in prop::collection::vec(prop::sample::select(PEOPLE_ATTRS.to_vec()), 1..4),
+        filtered in any::<bool>(),
+        filter_attr in prop::sample::select(PEOPLE_ATTRS.to_vec()),
+        filter_test in prop::sample::select(vec!["!= 'x'", "LIKE '%a%'", "> 30"]),
+        grouped in any::<bool>(),
+        first_id in id(),
+        second_id in id(),
+    ) {
+        let filter = filtered.then_some((filter_attr, filter_test));
+        let text = people_query(path, &attrs, filter, grouped);
+        let state = shared_people_state();
+        let first = answer_line(path, &text, first_id);
+        let second = answer_line(path, &text, second_id);
+        let served_first = handle_line(state, &first);
+        let hits = state.counters().get("serve.answer_cache.hit");
+        let served_second = handle_line(state, &second);
+        prop_assert_eq!(state.counters().get("serve.answer_cache.hit"), hits + 1);
+        prop_assert_eq!(&served_first, &uncached(state, &first), "{}", text);
+        prop_assert_eq!(&served_second, &uncached(state, &second), "{}", text);
+        prop_assert!(served_second.starts_with(r#"{"answers":["#), "{}", served_second);
+    }
+}
+
+/// After an `add_source` and an `apply_feedback` publish, every reply —
+/// cached before the publish or not — carries the new generation and the
+/// new snapshot's answers: the new record starts with an empty cache.
+#[test]
+fn a_publish_never_serves_a_stale_reply() {
+    let state = people_state();
+    let queries = [
+        (AnswerPath::Consolidated, "SELECT name FROM people"),
+        (AnswerPath::Pmed, "SELECT name, hphone FROM people"),
+        (AnswerPath::Aggregate, "SELECT COUNT(name) FROM people"),
+    ];
+    let warm = |state: &ServeState| -> Vec<String> {
+        let replies: Vec<String> = queries
+            .iter()
+            .map(|&(path, text)| handle_line(state, &answer_line(path, text, Some(1))))
+            .collect();
+        for (&(path, text), reply) in queries.iter().zip(&replies) {
+            let line = answer_line(path, text, Some(1));
+            assert_eq!(&handle_line(state, &line), reply, "hit ≡ miss: {text}");
+            assert_eq!(reply, &uncached(state, &line), "{text}");
+        }
+        replies
+    };
+    let before = warm(&state);
+    let generation = state.tenant("t0").unwrap().generation();
+    assert_eq!(
+        state.tenant("t0").unwrap().answer_cache_len(),
+        queries.len()
+    );
+    let publishes = [
+        r#"{"op":"add_source","tenant":"t0","table":{"name":"late","attrs":["name","phone"],"rows":[["Zed Newcomer","555"]]}}"#,
+        r#"{"op":"apply_feedback","tenant":"t0","same":[["hphone","ophone"]]}"#,
+    ];
+    let mut stale = before;
+    let mut last = generation;
+    for publish in publishes {
+        assert!(handle_line(&state, publish).contains(r#""ok":true"#));
+        let tenant = state.tenant("t0").unwrap();
+        assert!(tenant.generation() > last, "{publish}");
+        last = tenant.generation();
+        assert_eq!(
+            tenant.answer_cache_len(),
+            0,
+            "a publish starts an empty cache"
+        );
+        let fresh = warm(&state);
+        let tag = format!(r#""generation":{last},"#);
+        for (old, new) in stale.iter().zip(&fresh) {
+            assert!(new.contains(&tag), "{new}");
+            assert_ne!(old, new);
+        }
+        stale = fresh;
+    }
+    // The new source's row is among the new record's answers.
+    assert!(stale[0].contains("Zed Newcomer"), "{}", stale[0]);
+}
+
+/// A query that fails to parse gets its error reply every time and is
+/// never kept: a repeat is a miss again.
+#[test]
+fn a_parse_error_is_never_cached() {
+    let state = people_state();
+    let lines = [
+        answer_line(AnswerPath::Consolidated, "SELEKT name", Some(2)),
+        answer_line(AnswerPath::Aggregate, "SELECT name FROM people", None),
+    ];
+    for line in &lines {
+        for _ in 0..2 {
+            let reply = handle_line(&state, line);
+            assert!(reply.contains(r#""ok":false"#), "{reply}");
+            assert_eq!(reply, uncached(&state, line));
+        }
+    }
+    let tenant = state.tenant("t0").unwrap();
+    assert_eq!(tenant.answer_cache_len(), 0);
+    assert_eq!(tenant.answer_cache_bytes(), 0);
+    assert_eq!(state.counters().get("serve.answer_cache.miss"), 4);
+    assert_eq!(state.counters().get("serve.answer_cache.hit"), 0);
+}
+
+/// Distinct queries with large replies fill the cache to its byte cap;
+/// past it a new key is still answered correctly but not kept
+/// (`serve.answer_cache.full`), and what the cache already holds still
+/// hits. The corpus is People with long tables, so a few dozen replies
+/// reach the cap.
+#[test]
+fn a_full_cache_answers_new_keys_without_keeping_them() {
+    let gen = generate(
+        Domain::People,
+        &GenConfig {
+            seed: 7,
+            rows_min: 300,
+            rows_max: 400,
+            universe_size: 400,
+            ..GenConfig::default()
+        },
+    );
+    let state = ServeState::new();
+    state.register_tenant(
+        "t0",
+        UdiSystem::setup(gen.catalog, UdiConfig::default()).unwrap(),
+    );
+    let tenant = state.tenant("t0").unwrap();
+    let large = |i: usize| format!("SELECT name, city FROM people WHERE name != 'filler {i}'");
+    let mut filled = 0;
+    while state.counters().get("serve.answer_cache.full") == 0 {
+        assert!(filled < 10_000, "the cap was never reached");
+        handle_line(
+            &state,
+            &answer_line(AnswerPath::Consolidated, &large(filled), None),
+        );
+        filled += 1;
+    }
+    let kept = tenant.answer_cache_len();
+    let bytes = tenant.answer_cache_bytes();
+    assert!(kept > 1 && kept < filled, "{kept} of {filled}");
+    assert!(bytes <= ANSWER_CACHE_BYTES, "{bytes}");
+    let fresh = answer_line(AnswerPath::Consolidated, &large(filled), Some(5));
+    let misses = state.counters().get("serve.answer_cache.miss");
+    for _ in 0..2 {
+        assert_eq!(handle_line(&state, &fresh), uncached(&state, &fresh));
+    }
+    assert_eq!(state.counters().get("serve.answer_cache.miss"), misses + 2);
+    assert_eq!(tenant.answer_cache_len(), kept);
+    assert_eq!(tenant.answer_cache_bytes(), bytes);
+    let hits = state.counters().get("serve.answer_cache.hit");
+    let first = answer_line(AnswerPath::Consolidated, &large(0), Some(6));
+    assert_eq!(handle_line(&state, &first), uncached(&state, &first));
+    assert_eq!(state.counters().get("serve.answer_cache.hit"), hits + 1);
+}
+
+/// Concurrent misses of one absent key all render the same reply, and the
+/// cache keeps one entry for it: the barrier lets every caller pass the
+/// lookup before any publishes, so all of them append, and the later ones
+/// find the key on their way to the chain's tail.
+#[test]
+fn racing_misses_of_one_key_publish_one_node() {
+    let state = people_state();
+    let tenant = state.tenant("t0").unwrap();
+    let text = "SELECT name, city FROM people";
+    let callers = 4;
+    let barrier = Barrier::new(callers);
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..callers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = String::new();
+                    barrier.wait();
+                    tenant
+                        .answer_into(
+                            state.recorder(),
+                            AnswerPath::Consolidated,
+                            text,
+                            0,
+                            Some(1),
+                            &mut out,
+                        )
+                        .unwrap();
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let expected = uncached(
+        &state,
+        &answer_line(AnswerPath::Consolidated, text, Some(1)),
+    );
+    assert!(replies.iter().all(|r| *r == expected));
+    assert_eq!(tenant.answer_cache_len(), 1, "one key, one node");
+    let prefix = expected.len() - r#","id":1,"ok":true,"path":"consolidated"}"#.len();
+    assert_eq!(tenant.answer_cache_bytes(), text.len() + prefix);
 }
